@@ -17,7 +17,7 @@
 //!   the window refill are RTT-clocked.
 //! * [`chaos_campaign`] — N seeded random impairment cocktails run to
 //!   completion with the sanitizer and TCP invariants armed; every
-//!   failure carries the exact seed (and CLI line, via `tengig-chaos`)
+//!   failure carries the exact seed (and CLI line, via `tengig-check faults`)
 //!   that reproduces it.
 //!
 //! Determinism: every scenario's impairment pattern derives from the

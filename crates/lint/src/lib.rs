@@ -77,9 +77,9 @@ use taint::FnNode;
 
 /// Crates whose `src/` trees are subject to the determinism rules
 /// (wall-clock, unseeded-rng, map-iteration) and contribute nodes to the
-/// taint call graph. The vendored `criterion` and `proptest` shims are
-/// excluded: a benchmark harness legitimately reads wall-clock time, and
-/// neither runs inside a simulation.
+/// taint call graph. The vendored `proptest` shim and the `bench` tooling
+/// are excluded: a benchmark harness legitimately reads wall-clock time,
+/// and neither runs inside a simulation.
 pub const DETERMINISM_CRATES: &[&str] = &[
     "sim", "hw", "ethernet", "nic", "tcp", "net", "tools", "core",
 ];

@@ -1,7 +1,6 @@
 //! Coverage for the measurement substrate: tracer stage counters, ring
-//! eviction, sampling determinism, and histogram edge bins.
+//! eviction, and sampling determinism.
 
-use tengig_sim::stats::LogHistogram;
 use tengig_sim::{Nanos, SimRng, Stage, TraceEvent, Tracer};
 
 #[test]
@@ -80,44 +79,4 @@ fn stage_all_is_exhaustive_and_ordered() {
     sorted.dedup();
     assert_eq!(sorted.len(), Stage::ALL.len());
     assert_eq!(sorted, Stage::ALL.to_vec());
-}
-
-#[test]
-fn histogram_edge_bins() {
-    let mut h = LogHistogram::new();
-    // Bucket 0 holds both zero and one (the [1,2) bucket also catches 0).
-    h.record(0);
-    h.record(1);
-    assert_eq!(h.count(), 2);
-    assert_eq!(h.quantile(1.0), 1, "both land in the lowest bucket");
-
-    // Exact powers of two sit at the bottom of their bucket: the quantile
-    // reports the bucket's inclusive upper bound.
-    let mut p = LogHistogram::new();
-    p.record(1024);
-    assert_eq!(p.quantile(0.5), 2047);
-    p.record(1023);
-    assert_eq!(p.quantile(0.0), 1023, "1023 is in the [512,1024) bucket");
-
-    // The top bucket saturates at u64::MAX without overflow.
-    let mut top = LogHistogram::new();
-    top.record(u64::MAX);
-    top.record(1u64 << 63);
-    assert_eq!(top.count(), 2);
-    assert_eq!(top.quantile(0.5), u64::MAX);
-    assert_eq!(top.quantile(1.0), u64::MAX);
-
-    // Mean survives samples that would overflow a u64 sum.
-    let mut big = LogHistogram::new();
-    big.record(u64::MAX);
-    big.record(u64::MAX);
-    assert!((big.mean() - u64::MAX as f64).abs() < 1e4);
-}
-
-#[test]
-fn empty_histogram_is_sane() {
-    let h = LogHistogram::new();
-    assert_eq!(h.count(), 0);
-    assert_eq!(h.mean(), 0.0);
-    assert_eq!(h.quantile(0.5), 0);
 }

@@ -5,16 +5,31 @@
 //! cargo run --release --example figures -- all
 //! ```
 //!
-//! Supported artifacts: `fig3 fig4 fig5 fig6 fig7 fig8 table1 comparison`.
+//! Supported artifacts: `fig3 fig4 fig5 fig6 fig7 fig8 table1 comparison
+//! ablations anecdotal osbypass multiflow pktgen` (and `all`). `count` is
+//! the packet count per throughput point (default 4,000). An unknown name
+//! prints this list to stderr and exits 2.
 
 use tengig::analytic::{table1, WindowQuantization};
-use tengig::config::LadderRung;
-use tengig::experiments::latency::{latency_sweep, paper_latency_payloads, without_coalescing};
-use tengig::experiments::throughput::throughput_sweep;
+use tengig::config::{LadderRung, TuningStep};
+use tengig::experiments::anecdotal::{
+    e7505_out_of_box, e7505_with_timestamps, itanium_aggregation,
+};
+use tengig::experiments::latency::{
+    latency_sweep, netpipe_point, paper_latency_payloads, without_coalescing,
+};
+use tengig::experiments::multiflow::{aggregate, Direction};
+use tengig::experiments::osbypass;
+use tengig::experiments::throughput::{nttcp_point, pktgen_run, throughput_sweep};
+use tengig::experiments::wan::record_run;
 use tengig::report::{figure, humanize, Table};
 use tengig_ethernet::Mtu;
+use tengig_hw::MemorySpec;
+use tengig_net::{Impairments, WanSpec};
 use tengig_nic::Interconnect;
 use tengig_sim::stats::Series;
+use tengig_sim::Nanos;
+use tengig_tools::run_stream;
 
 /// Reduced sweep (every 512 B) — the full 128-byte-step sweep of the paper
 /// works too but takes proportionally longer.
@@ -30,9 +45,9 @@ fn payload_sweep() -> Vec<u64> {
     v
 }
 
-fn fig3(count: u64) -> Vec<Series> {
+fn fig3(count: u64) {
     let payloads = payload_sweep();
-    vec![
+    let series = [
         throughput_sweep(
             LadderRung::Stock.pe2650_config(Mtu::STANDARD),
             "1500MTU,SMP,512PCI",
@@ -45,12 +60,21 @@ fn fig3(count: u64) -> Vec<Series> {
             &payloads,
             count,
         ),
-    ]
+    ];
+    println!(
+        "{}",
+        figure("Fig. 3: throughput of stock TCP (Mb/s)", &series)
+    );
+    println!(
+        "peaks: 1500 MTU {:.0} Mb/s (paper 1800), 9000 MTU {:.0} Mb/s (paper 2700)\n",
+        series[0].peak(),
+        series[1].peak()
+    );
 }
 
-fn fig4(count: u64) -> Vec<Series> {
+fn fig4(count: u64) {
     let payloads = payload_sweep();
-    vec![
+    let series = [
         throughput_sweep(
             LadderRung::OversizedWindows.pe2650_config(Mtu::STANDARD),
             "1500MTU,UP,4096PCI,256kbuf,medres",
@@ -63,10 +87,25 @@ fn fig4(count: u64) -> Vec<Series> {
             &payloads,
             count,
         ),
-    ]
+    ];
+    println!(
+        "{}",
+        figure(
+            "Fig. 4: oversized windows + MMRBC 4096 + UP (Mb/s)",
+            &series
+        )
+    );
+    // Fig. 3's 7436-8948 B dip is gone once the windows are oversized.
+    println!(
+        "peaks: 1500 {:.0} Mb/s (paper 2470), 9000 {:.0} Mb/s (paper 3900); \
+         9000 dip region min {:.0} Mb/s\n",
+        series[0].peak(),
+        series[1].peak(),
+        series[1].min_in(7_436.0, 8_947.0).unwrap_or(0.0),
+    );
 }
 
-fn fig5(count: u64) -> Vec<Series> {
+fn fig5(count: u64) {
     let payloads = payload_sweep();
     let mut series = vec![
         throughput_sweep(
@@ -93,28 +132,54 @@ fn fig5(count: u64) -> Vec<Series> {
         s.push(*payloads.last().unwrap() as f64, gbps * 1000.0);
         series.push(s);
     }
-    series
+    println!("{}", figure("Fig. 5: non-standard MTUs (Mb/s)", &series));
+    println!(
+        "peaks: 16000 {:.0} Mb/s (paper 4090), 8160 {:.0} Mb/s (paper 4110); \
+         means: 16000 {:.0} vs 8160 {:.0}\n",
+        series[0].peak(),
+        series[1].peak(),
+        series[0].mean(),
+        series[1].mean()
+    );
 }
 
-fn fig6() -> Vec<Series> {
+fn fig6(_count: u64) {
     let cfg = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
     let payloads = paper_latency_payloads();
-    vec![
+    let series = [
         latency_sweep(cfg, "back-to-back (us)", &payloads, false),
         latency_sweep(cfg, "through FastIron 1500 (us)", &payloads, true),
-    ]
+    ];
+    println!("{}", figure("Fig. 6: end-to-end latency (us)", &series));
+    println!(
+        "1-byte: b2b {:.1} us (paper 19), switch {:.1} us (paper 25); \
+         1 KiB b2b {:.1} us (paper ~23)\n",
+        series[0].at(1.0).unwrap(),
+        series[1].at(1.0).unwrap(),
+        series[0].at(1024.0).unwrap()
+    );
 }
 
-fn fig7() -> Vec<Series> {
-    let cfg = without_coalescing(LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000));
+fn fig7(_count: u64) {
+    let base = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
+    let cfg = without_coalescing(base);
     let payloads = paper_latency_payloads();
-    vec![
+    let series = [
         latency_sweep(cfg, "back-to-back, no coalescing (us)", &payloads, false),
         latency_sweep(cfg, "through switch, no coalescing (us)", &payloads, true),
-    ]
+    ];
+    println!(
+        "{}",
+        figure("Fig. 7: latency without interrupt coalescing (us)", &series)
+    );
+    let without = series[0].at(1.0).unwrap();
+    println!(
+        "1-byte b2b: {without:.1} us (paper 14); coalescing delta {:.1} us (paper 5)\n",
+        netpipe_point(base, 1, false).as_micros_f64() - without
+    );
 }
 
-fn print_table1() {
+fn table1_recovery(_count: u64) {
     let mut t = Table::new(
         "Table 1: time to recover from a single packet loss",
         &[
@@ -123,21 +188,46 @@ fn print_table1() {
             "RTT (ms)",
             "MSS (bytes)",
             "time to recover",
+            "paper",
         ],
     );
-    for row in table1() {
+    let paper = ["ms-scale", "1 hr 42 min", "17 min", "3 hr 51 min", "38 min"];
+    for (row, p) in table1().into_iter().zip(paper) {
         t.row(vec![
             row.path.to_string(),
             row.bandwidth.to_string(),
             format!("{:.1}", row.rtt.as_millis_f64()),
             row.mss.to_string(),
             humanize(row.time),
+            p.to_string(),
         ]);
     }
     println!("{}", t.render());
+    // Simulation cross-check: sparse random loss on a 10 ms-RTT miniature
+    // of the WAN depresses the mean below the clean rate (the sawtooth).
+    let mini = WanSpec {
+        prop_svl_chi: Nanos::from_millis(2),
+        prop_chi_gva: Nanos::from_millis(3),
+        bottleneck_buffer: 64 << 20,
+        random_loss: 0.0,
+        impair: Impairments::none(),
+    };
+    let warmup = Nanos::from_millis(600);
+    let clean = record_run(&mini, None, warmup, Nanos::from_millis(600));
+    let lossy = record_run(
+        &mini.with_random_loss(2e-5),
+        None,
+        warmup,
+        Nanos::from_secs(2),
+    );
+    println!(
+        "sawtooth cross-check at 10 ms RTT: clean {:.2} Gb/s, with sparse loss {:.2} Gb/s \
+         ({} retransmits)\n",
+        clean.gbps, lossy.gbps, lossy.retransmits
+    );
 }
 
-fn print_fig8() {
+fn fig8(_count: u64) {
     // Fig. 8: ideal vs MSS-allowed window — the §3.5.1 quantization.
     let mut t = Table::new(
         "Fig. 8: ideal vs MSS-allowed window (window quantization)",
@@ -173,7 +263,7 @@ fn print_fig8() {
     println!("{}", t.render());
 }
 
-fn print_comparison() {
+fn comparison(_count: u64) {
     let mut t = Table::new(
         "§3.5.4: interconnect comparison (published numbers)",
         &[
@@ -198,51 +288,237 @@ fn print_comparison() {
     println!("{}", t.render());
 }
 
+/// Design-choice ablations beyond the main ladder: MMRBC burst size,
+/// interrupt-coalescing delay, socket buffers, and TSO (§3.3: "the
+/// implementation of TSO should reduce the CPU load on transmitting
+/// systems").
+fn ablations(count: u64) {
+    let tuned = |step| {
+        LadderRung::OversizedWindows
+            .pe2650_config(Mtu::JUMBO_9000)
+            .tuned(step)
+    };
+    let mut t = Table::new("ablation: MMRBC burst size (9000 MTU)", &["MMRBC", "Gb/s"]);
+    for mmrbc in [512u64, 1024, 2048, 4096] {
+        let r = nttcp_point(tuned(TuningStep::Mmrbc(mmrbc)), 8948, count, 1);
+        t.row(vec![
+            mmrbc.to_string(),
+            format!("{:.2}", r.throughput.gbps()),
+        ]);
+    }
+    println!("{}", t.render());
+
+    let mut t = Table::new(
+        "ablation: interrupt-coalescing delay",
+        &["delay (us)", "1B latency (us)", "bulk Gb/s", "rx CPU"],
+    );
+    for us in [0u64, 1, 5, 10, 20] {
+        let cfg = tuned(TuningStep::Coalescing(Nanos::from_micros(us)));
+        let thr = nttcp_point(cfg, 8948, count, 1);
+        t.row(vec![
+            us.to_string(),
+            format!("{:.1}", netpipe_point(cfg, 1, false).as_micros_f64()),
+            format!("{:.2}", thr.throughput.gbps()),
+            format!("{:.2}", thr.rx_cpu_load),
+        ]);
+    }
+    println!("{}", t.render());
+
+    let mut t = Table::new(
+        "ablation: socket buffer size (9000 MTU)",
+        &["buffers (KB)", "Gb/s"],
+    );
+    for kb in [64u64, 128, 256, 512, 1024] {
+        let cfg = LadderRung::Uniprocessor
+            .pe2650_config(Mtu::JUMBO_9000)
+            .tuned(TuningStep::Buffers(kb * 1024));
+        let r = nttcp_point(cfg, 8948, count, 1);
+        t.row(vec![kb.to_string(), format!("{:.2}", r.throughput.gbps())]);
+    }
+    println!("{}", t.render());
+
+    let mut t = Table::new(
+        "ablation: TCP segmentation offload (sender side)",
+        &["TSO", "Gb/s", "tx CPU", "rx CPU"],
+    );
+    for tso in [false, true] {
+        let mut cfg = LadderRung::Mtu8160.pe2650_config(Mtu::TUNED_8160);
+        cfg.nic = cfg.nic.with_tso(tso);
+        let r = nttcp_point(cfg, 8108, count, 1);
+        t.row(vec![
+            if tso { "on" } else { "off" }.into(),
+            format!("{:.2}", r.throughput.gbps()),
+            format!("{:.2}", r.tx_cpu_load),
+            format!("{:.2}", r.rx_cpu_load),
+        ]);
+    }
+    println!("{}", t.render());
+}
+
+/// §3.4 anecdotal hosts — the Intel E7505 loaners (4.64 Gb/s out of the
+/// box, timestamps off) and the quad Itanium-II aggregation (7.2 Gb/s) —
+/// plus the §3.1 STREAM memory-bandwidth sanity numbers.
+fn anecdotal(count: u64) {
+    let w = Nanos::from_millis(30);
+    let mut t = Table::new("§3.4 anecdotal hosts", &["measurement", "Gb/s", "paper"]);
+    for (what, gbps, paper) in [
+        (
+            "E7505 out of the box (ts off)",
+            e7505_out_of_box(count).throughput.gbps(),
+            "4.64",
+        ),
+        (
+            "E7505 with timestamps",
+            e7505_with_timestamps(count).throughput.gbps(),
+            "~-10%",
+        ),
+        (
+            "Itanium-II x4, 8 GbE senders",
+            itanium_aggregation(8, w, w).aggregate_gbps,
+            "7.2",
+        ),
+    ] {
+        t.row(vec![what.into(), format!("{gbps:.2}"), paper.into()]);
+    }
+    println!("{}", t.render());
+
+    let mut t = Table::new("§3.1 STREAM copy bandwidth", &["host", "Gb/s", "paper"]);
+    for (name, mem, paper) in [
+        ("PE2650 (GC-LE)", MemorySpec::gc_le(), "~8.5"),
+        ("PE4600 (GC-HE)", MemorySpec::gc_he(), "12.8"),
+        ("E7505", MemorySpec::e7505(), "≈PE2650"),
+    ] {
+        t.row(vec![
+            name.into(),
+            format!("{:.1}", run_stream(&mem).copy.gbps()),
+            paper.into(),
+        ]);
+    }
+    println!("{}", t.render());
+}
+
+/// §5 projection: RDMA-over-IP / OS-bypass on the same 10GbE hardware.
+fn osbypass(count: u64) {
+    let mut t = Table::new(
+        "§5 projection: OS-bypass (RDMA over IP) vs the best TCP result",
+        &["path", "Gb/s", "one-way latency", "CPU load"],
+    );
+    let cfg = LadderRung::Mtu8160.pe2650_config(Mtu::TUNED_8160);
+    let tcp = nttcp_point(cfg, 8108, count, 7);
+    t.row(vec![
+        "TCP/IP, tuned (measured)".into(),
+        format!("{:.2}", tcp.throughput.gbps()),
+        format!("{:.1} us", netpipe_point(cfg, 1, false).as_micros_f64()),
+        format!("{:.2}", tcp.rx_cpu_load),
+    ]);
+    for mtu in [Mtu::JUMBO_9000, Mtu::MAX_INTEL_16000] {
+        let r = osbypass::throughput(mtu, 4_000);
+        t.row(vec![
+            format!("OS-bypass, {} MTU (projected)", mtu.get()),
+            format!("{:.2}", r.gbps),
+            format!("{:.1} us", r.latency.as_micros_f64()),
+            format!("{:.2}", r.cpu_load),
+        ]);
+    }
+    println!("{}", t.render());
+    println!("paper §5: \"throughput approaching 8 Gb/s, end-to-end latencies below 10 µs,\nand a CPU load approaching zero\"\n");
+}
+
+/// §3.5.2 multi-flow aggregation through the FastIron: GbE hosts into one
+/// 10GbE host and back, showing the tx/rx parity the paper found
+/// "unexpected".
+fn multiflow(_count: u64) {
+    let tengbe = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
+    let w = Nanos::from_millis(30);
+    let mut t = Table::new(
+        "§3.5.2 multi-flow aggregation (PE2650, jumbo frames)",
+        &["GbE peers", "direction", "aggregate Gb/s", "10GbE host CPU"],
+    );
+    let runs = [1usize, 2, 4, 6, 8]
+        .map(|n| (n, Direction::IntoTenGbe, "into 10GbE (rx)"))
+        .into_iter()
+        .chain([4usize, 8].map(|n| (n, Direction::OutOfTenGbe, "out of 10GbE (tx)")));
+    for (peers, dir, label) in runs {
+        let r = aggregate(tengbe, peers, dir, w, w);
+        t.row(vec![
+            peers.to_string(),
+            label.into(),
+            format!("{:.2}", r.aggregate_gbps),
+            format!("{:.2}", r.tengbe_cpu_load),
+        ]);
+    }
+    println!("{}", t.render());
+    println!("paper: tx and rx paths statistically equal; aggregate tops out near the\nsingle-flow host ceiling (~4 Gb/s on a PE2650)\n");
+}
+
+/// §3.5.2 Linux packet generator: the single-copy upper bound (paper: 5.5
+/// Gb/s, ~88,400 packets/s with 8160-byte packets) and the TCP/pktgen
+/// ratio (~75%).
+fn pktgen(count: u64) {
+    let cfg = LadderRung::Mtu8160.pe2650_config(Mtu::TUNED_8160);
+    let mut t = Table::new(
+        "§3.5.2 packet generator (single copy, TCP bypass)",
+        &["packet payload", "packets/s", "Gb/s"],
+    );
+    for payload in [1472u64, 4068, 8132] {
+        let r = pktgen_run(cfg, payload, 6_000);
+        t.row(vec![
+            payload.to_string(),
+            format!("{:.0}", r.pps),
+            format!("{:.2}", r.gbps),
+        ]);
+    }
+    println!("{}", t.render());
+    let pg = pktgen_run(cfg, 8132, 6_000);
+    let tcp = nttcp_point(cfg, 8108, count, 1).throughput.gbps();
+    println!(
+        "8160-byte packets: {:.2} Gb/s at {:.0} pps (paper: 5.5 Gb/s, 88,400 pps)\n\
+         TCP/pktgen ratio: {:.0}% (paper ~75%)\n",
+        pg.gbps,
+        pg.pps,
+        tcp / pg.gbps * 100.0
+    );
+}
+
+/// An artifact's name and printer (which takes the packet count).
+type Artifact = (&'static str, fn(u64));
+
+/// Every artifact, in `all` order.
+const ARTIFACTS: &[Artifact] = &[
+    ("fig3", fig3),
+    ("fig4", fig4),
+    ("fig5", fig5),
+    ("fig6", fig6),
+    ("fig7", fig7),
+    ("table1", table1_recovery),
+    ("fig8", fig8),
+    ("comparison", comparison),
+    ("ablations", ablations),
+    ("anecdotal", anecdotal),
+    ("osbypass", osbypass),
+    ("multiflow", multiflow),
+    ("pktgen", pktgen),
+];
+
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
     let count: u64 = std::env::args()
         .nth(2)
         .and_then(|s| s.parse().ok())
         .unwrap_or(4_000);
-
-    let run = |name: &str| which == name || which == "all";
-    if run("fig3") {
-        println!(
-            "{}",
-            figure("Fig. 3: throughput of stock TCP (Mb/s)", &fig3(count))
+    let chosen: Vec<_> = ARTIFACTS
+        .iter()
+        .filter(|(name, _)| which == "all" || which == *name)
+        .collect();
+    if chosen.is_empty() {
+        let names: Vec<&str> = ARTIFACTS.iter().map(|(name, _)| *name).collect();
+        eprintln!(
+            "unknown artifact `{which}`; one of: {} all",
+            names.join(" ")
         );
+        std::process::exit(2);
     }
-    if run("fig4") {
-        println!(
-            "{}",
-            figure(
-                "Fig. 4: oversized windows + MMRBC 4096 + UP (Mb/s)",
-                &fig4(count)
-            )
-        );
-    }
-    if run("fig5") {
-        println!(
-            "{}",
-            figure("Fig. 5: non-standard MTUs (Mb/s)", &fig5(count))
-        );
-    }
-    if run("fig6") {
-        println!("{}", figure("Fig. 6: end-to-end latency (us)", &fig6()));
-    }
-    if run("fig7") {
-        println!(
-            "{}",
-            figure("Fig. 7: latency without interrupt coalescing (us)", &fig7())
-        );
-    }
-    if run("table1") {
-        print_table1();
-    }
-    if run("fig8") {
-        print_fig8();
-    }
-    if run("comparison") {
-        print_comparison();
+    for (_, print) in chosen {
+        print(count);
     }
 }
