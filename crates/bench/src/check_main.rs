@@ -163,6 +163,7 @@ fn obs_config() -> ObsConfig {
         sample_interval: Nanos::from_micros(100),
         ring_capacity: 256,
         sample_every: 4,
+        ..ObsConfig::default()
     }
 }
 

@@ -84,6 +84,7 @@ fn throughput_sweep_obs() -> (u64, u64) {
         sample_interval: Nanos::from_micros(100),
         ring_capacity: 256,
         sample_every: 16,
+        ..tengig_sim::ObsConfig::default()
     };
     let mut events = 0;
     let mut bytes = 0;

@@ -134,7 +134,8 @@ pub(crate) fn tengbe() -> HostConfig {
 /// host-index round-robin ownership map and kicked.
 ///
 /// Links are per-flow private directional paths, which satisfies the
-/// grid partition-safety rule by construction.
+/// grid partition-safety rule by construction (and `enable_grid` checks
+/// it).
 fn build_replica(
     preset: &GridPreset,
     seed: u64,
@@ -197,7 +198,8 @@ fn build_replica(
     }
     let owner: Vec<usize> = (0..lab.hosts.len()).map(|h| h % shards).collect();
     let flows = lab.flows.len();
-    lab.enable_grid(GridRt::new(shards, shard, owner, flows));
+    lab.enable_grid(GridRt::new(shards, shard, owner, flows))
+        .expect("grid presets use private links, so every partition is safe");
     if let Some(cfg) = obs {
         lab.enable_obs(cfg, seed);
     }

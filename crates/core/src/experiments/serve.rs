@@ -39,7 +39,7 @@ use tengig_hw::{DiskModel, DiskSpec};
 use tengig_net::{Hop, Path};
 use tengig_sim::{
     build_schedule, rate_of, ArrivalProcess, Bandwidth, BoundedPareto, Engine, FctStats, FlowPlan,
-    MetricKind, Nanos, ObsConfig, Scope, SimRng, SizeMix, Timelines, WorkloadSpec,
+    MetricKind, MetricSet, Nanos, ObsConfig, SimRng, SizeMix, Timelines, WorkloadSpec,
 };
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
@@ -192,15 +192,18 @@ fn stripe_wan() -> Path {
 }
 
 /// Observability configuration for serve runs: 2 ms sampling (dozens of
-/// samples per rung), flight-recorder detail effectively off. Always on,
-/// so the per-host CPU-saturation series comes from the same run the
-/// golden gates (the sampling events themselves are netted out of the
-/// reported event counts — see [`run_serve`]).
+/// samples per rung) of the per-host [`MetricKind::CpuBusyNanos`] series
+/// and nothing else, so a sample visits only the rung's 2-5 hosts;
+/// flight-recorder detail effectively off. Always on, so the
+/// CPU-saturation sidecar comes from the same run the golden gates (the
+/// sampling events themselves are netted out of the reported event
+/// counts — see [`run_serve`]).
 fn serve_obs() -> ObsConfig {
     ObsConfig {
         sample_interval: Nanos::from_millis(2),
         ring_capacity: 64,
         sample_every: 1 << 20,
+        metrics: MetricSet::of(&[MetricKind::CpuBusyNanos]),
     }
 }
 
@@ -286,7 +289,8 @@ fn build_replica(
     }
     let owner: Vec<usize> = (0..lab.hosts.len()).map(|h| h % shards).collect();
     let flows = lab.flows.len();
-    lab.enable_grid(GridRt::new(shards, shard, owner, flows));
+    lab.enable_grid(GridRt::new(shards, shard, owner, flows))
+        .expect("serve links have one transmitting host each, so every partition is safe");
     lab.enable_obs(&serve_obs(), seed);
     let mut eng = Engine::new();
     eng.event_limit = 2_000_000_000;
@@ -498,22 +502,6 @@ fn merge_stripe(replicas: &[GridShard], shards: usize, events: u64) -> StripeRes
     }
 }
 
-/// Render only the per-host CPU-saturation series of a merged timeline —
-/// the obs sidecar the serve family ships. (The full timelines carry
-/// per-flow TCP series for every launched flow; the sidecar keeps the
-/// host saturation signal compact.)
-pub fn cpu_series_jsonl(tl: &Timelines) -> String {
-    let mut out = Timelines::new(tl.interval);
-    for (&(scope, metric), series) in tl.iter() {
-        if matches!(scope, Scope::Host { .. }) && metric == MetricKind::CpuBusyNanos {
-            for &(t, v) in series.points() {
-                out.record(scope, metric, t, v);
-            }
-        }
-    }
-    out.to_jsonl()
-}
-
 /// Sweep the serve rungs on the deterministic [`SweepRunner`] with each
 /// scenario executed as `shards` shards. Returns per-rung outcomes, the
 /// machine-readable report whose JSONL bytes `goldens/serve.jsonl` pins
@@ -572,7 +560,7 @@ pub fn serve_sweep_report(
             ],
         };
         report.push_row(sc.index, sc.label.clone(), sc.seed, values);
-        sidecar.push(sc.index, sc.label.clone(), cpu_series_jsonl(&tl));
+        sidecar.push(sc.index, sc.label.clone(), tl.to_jsonl());
         outcomes.push(outcome);
     }
     (outcomes, report, sidecar)
@@ -581,6 +569,7 @@ pub fn serve_sweep_report(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tengig_sim::Scope;
 
     fn load_rung(rho_permille: u64) -> ServePreset {
         ServePreset::Load(LoadRung {
@@ -689,10 +678,29 @@ mod tests {
                 _ => unreachable!("preset changed family between runs"),
             }
             assert_eq!(
-                cpu_series_jsonl(&tl_one),
-                cpu_series_jsonl(&tl_two),
+                tl_one.to_jsonl(),
+                tl_two.to_jsonl(),
                 "CPU sidecar must be shard-count-invariant"
             );
+        }
+    }
+
+    #[test]
+    fn serve_timelines_hold_one_cpu_series_per_host() {
+        // Four clients plus the server; the striping pair.
+        let stripe = ServePreset::Stripe(StripeRung {
+            streams: 2,
+            spindles: 2,
+        });
+        for (preset, hosts) in [(load_rung(500), 5), (stripe, 2)] {
+            for shards in [1, 2] {
+                let (_, tl) = run_serve(&preset, shards, 5);
+                assert_eq!(tl.len(), hosts, "{} at {shards} shard(s)", preset.label());
+                for ((scope, metric), _) in tl.iter() {
+                    assert!(matches!(scope, Scope::Host { .. }), "{scope} sampled");
+                    assert_eq!(*metric, MetricKind::CpuBusyNanos);
+                }
+            }
         }
     }
 

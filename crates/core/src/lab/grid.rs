@@ -22,14 +22,16 @@
 //! byte-identical at 1, 2, and N shards.
 //!
 //! Partition-safety rule: a link may only be shared by flows whose
-//! *transmitting* hosts live on the same shard (the grid experiment
-//! family uses per-flow private directional links, which satisfies this
-//! trivially). Same-instant events on different hosts then touch
-//! disjoint state, so the cross-host seq-order differences between shard
-//! counts cannot be observed.
+//! *transmitting* hosts live on the same shard. Same-instant events on
+//! different hosts then touch disjoint state, so the cross-host
+//! seq-order differences between shard counts cannot be observed.
+//! [`Lab::enable_grid`] checks the rule while it builds the link→owner
+//! map (see [`GridRt::bind_links`]) and rejects a violating topology
+//! with a [`GridError`].
 
-use super::{frame_arrival, Ev, Lab, LabEngine};
+use super::{frame_arrival, Ev, FlowRt, Lab, LabEngine};
 use std::collections::BTreeMap;
+use std::fmt;
 use tengig_net::Delivery;
 use tengig_sim::{Hist, Nanos, ShardWorld};
 use tengig_tcp::Segment;
@@ -58,6 +60,49 @@ pub struct GridMsg {
     pub arr: Arrival,
 }
 
+/// Why a topology cannot run as a grid.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum GridError {
+    /// The ownership map does not name exactly one shard per host.
+    OwnerMap {
+        /// Hosts in the lab.
+        hosts: usize,
+        /// Entries in the ownership map.
+        owners: usize,
+    },
+    /// A link carries frames transmitted from hosts on different shards,
+    /// breaking the partition-safety rule: two shards would mutate its
+    /// queue state.
+    LinkSpansShards {
+        /// The shared link.
+        link: usize,
+        /// The first two transmitting hosts found on different shards.
+        hosts: [usize; 2],
+        /// Their owning shards.
+        shards: [usize; 2],
+    },
+}
+
+impl fmt::Display for GridError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            GridError::OwnerMap { hosts, owners } => {
+                write!(f, "owner map has {owners} entries for {hosts} hosts")
+            }
+            GridError::LinkSpansShards {
+                link,
+                hosts: [a, b],
+                shards: [sa, sb],
+            } => write!(
+                f,
+                "link {link} is transmitted on by host {a} (shard {sa}) and host {b} (shard {sb})"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for GridError {}
+
 /// Per-shard grid runtime: the ownership map, the canonical key mint,
 /// the ordered ingress channel, and the cross-shard outbox.
 #[derive(Debug)]
@@ -68,6 +113,9 @@ pub struct GridRt {
     pub shard: usize,
     /// Owning shard per host index.
     pub owner: Vec<usize>,
+    /// Transmitting host per link index (`None`: no flow routes over the
+    /// link). Built once by [`GridRt::bind_links`].
+    link_tx: Vec<Option<usize>>,
     /// Per-(flow, endpoint) emission counters for canonical keys. The
     /// counter advances only on the shard owning the transmitting host,
     /// in virtual-time order — identical at any shard count.
@@ -102,6 +150,7 @@ impl GridRt {
             shards,
             shard,
             owner,
+            link_tx: Vec::new(),
             emit: vec![[0; 2]; flows],
             inbox: (0..hosts).map(|_| BTreeMap::new()).collect(),
             outbox: Vec::new(),
@@ -115,6 +164,40 @@ impl GridRt {
     #[inline]
     pub fn owns(&self, h: usize) -> bool {
         self.owner[h] == self.shard
+    }
+
+    /// Whether this shard owns link `l`: the one shard whose events
+    /// mutate it, the owner of its transmitting host. A link no flow
+    /// routes over never changes and belongs to no shard.
+    #[inline]
+    pub fn owns_link(&self, l: usize) -> bool {
+        self.link_tx[l].is_some_and(|h| self.owns(h))
+    }
+
+    /// Build the link→transmitting-host map in one pass over the flows'
+    /// routes (O(Σ route lengths)), checking the partition-safety rule on
+    /// the way: every host transmitting on a link must live on one shard.
+    pub(super) fn bind_links(&mut self, flows: &[FlowRt], links: usize) -> Result<(), GridError> {
+        let mut link_tx: Vec<Option<usize>> = vec![None; links];
+        for flow in flows {
+            for (route, &h) in flow.route.iter().zip(&flow.host) {
+                for &l in route {
+                    match link_tx[l] {
+                        None => link_tx[l] = Some(h),
+                        Some(first) if self.owner[first] != self.owner[h] => {
+                            return Err(GridError::LinkSpansShards {
+                                link: l,
+                                hosts: [first, h],
+                                shards: [self.owner[first], self.owner[h]],
+                            });
+                        }
+                        Some(_) => {}
+                    }
+                }
+            }
+        }
+        self.link_tx = link_tx;
+        Ok(())
     }
 
     /// Mint the canonical channel key for the next delivery emitted by

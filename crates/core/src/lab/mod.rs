@@ -18,15 +18,15 @@ pub mod grid;
 pub mod host;
 
 use crate::config::HostConfig;
-pub use grid::{GridMsg, GridRt, GridShard};
+pub use grid::{GridError, GridMsg, GridRt, GridShard};
 pub use host::{HostRt, RxFrame};
 use std::collections::VecDeque;
 use tengig_hw::DiskModel;
 use tengig_net::{Delivery, Path, PathState};
 use tengig_nic::CoalesceAction;
 use tengig_sim::{
-    Engine, EventFire, EventId, FlightDump, Hist, MetricKind, Nanos, ObsConfig, Sanitizer, Scope,
-    SimConfig, SimRng, Stage, Timelines, Tracer, ViolationKind,
+    Engine, EventFire, EventId, FlightDump, Hist, MetricKind, MetricSet, Nanos, ObsConfig,
+    Sanitizer, Scope, ScopeKind, SimConfig, SimRng, Stage, Timelines, Tracer, ViolationKind,
 };
 use tengig_tcp::{Action, Segment, Sysctls, TcpConn, TimerKind};
 use tengig_tools::{Iperf, NetPipe, NttcpReceiver, NttcpSender, PingPongSide, Pktgen};
@@ -438,6 +438,8 @@ struct ObsRt {
     /// utilization deltas (classic mode only; grid mode samples the
     /// cumulative [`MetricKind::CpuBusyNanos`] instead).
     cpu_prev: Vec<Nanos>,
+    /// The metrics each sample records ([`ObsConfig::metrics`]).
+    metrics: MetricSet,
     /// Whether an [`Ev::ObsSample`] is scheduled. In grid mode the chain
     /// stops when the shard's calendar drains and is revived by the next
     /// cross-shard message (see [`obs_revive`]); in classic mode it stays
@@ -487,14 +489,20 @@ impl Lab {
 
     /// Switch this replica into grid (sharded) execution. Call after the
     /// topology is fully assembled (the runtime sizes its channel and key
-    /// mint from the current host/flow counts) and before [`kick`].
-    pub fn enable_grid(&mut self, g: GridRt) {
-        assert_eq!(
-            g.owner.len(),
-            self.hosts.len(),
-            "owner map must cover every host"
-        );
+    /// mint from the current host/flow counts, and maps every link to its
+    /// transmitting host) and before [`kick`]. Rejects an owner map that
+    /// does not cover every host, and any link whose transmitting hosts
+    /// lie on different shards (the partition-safety rule, see [`grid`]).
+    pub fn enable_grid(&mut self, mut g: GridRt) -> Result<(), GridError> {
+        if g.owner.len() != self.hosts.len() {
+            return Err(GridError::OwnerMap {
+                hosts: self.hosts.len(),
+                owners: g.owner.len(),
+            });
+        }
+        g.bind_links(&self.flows, self.links.len())?;
         self.grid = Some(g);
+        Ok(())
     }
 
     /// The grid runtime, if this lab executes as one shard of a grid.
@@ -604,6 +612,7 @@ impl Lab {
             interval,
             timelines: Timelines::new(interval),
             cpu_prev: vec![Nanos::ZERO; self.hosts.len()],
+            metrics: cfg.metrics,
             armed: true,
         });
     }
@@ -758,10 +767,11 @@ pub fn kick_at(lab: &mut Lab, eng: &mut LabEngine, arrivals: &[Nanos]) {
     }
 }
 
-/// One observability sample: read every flow's TCP state, every host's
-/// NIC/CPU state, and every link's queue state into the step-series, then
-/// re-arm the sampling timer (until all workloads complete, so a finished
-/// run's calendar drains).
+/// One observability sample: read the selected metrics of every flow
+/// endpoint, host and link into the step-series, then re-arm the sampling
+/// timer (until all workloads complete, so a finished run's calendar
+/// drains). A scope loop runs only when [`ObsConfig::metrics`] selects one
+/// of its metrics, so a sample costs O(selected scopes).
 ///
 /// Strictly read-only with respect to the simulation: no resource is
 /// admitted, no randomness drawn, no connection touched — so enabling
@@ -782,98 +792,99 @@ fn obs_sample(lab: &mut Lab, eng: &mut LabEngine) {
     let Some(mut obs) = lab.obs.take() else {
         return;
     };
+    let sel = obs.metrics;
     let tl = &mut obs.timelines;
-    let grid_mode = lab.grid.is_some();
-    for (f, flow) in lab.flows.iter().enumerate() {
-        for ep in 0..2 {
-            if let Some(g) = &lab.grid {
-                if !g.owns(flow.host[ep]) {
+    let mut put = |scope: Scope, metric: MetricKind, v: u64| {
+        if sel.contains(metric) {
+            tl.record(scope, metric, now, v);
+        }
+    };
+    let grid = lab.grid.as_ref();
+    if sel.samples(ScopeKind::Flow) {
+        for (f, flow) in lab.flows.iter().enumerate() {
+            for ep in 0..2 {
+                if grid.is_some_and(|g| !g.owns(flow.host[ep])) {
                     continue;
                 }
+                let c = &flow.conns[ep];
+                let scope = Scope::Flow {
+                    flow: f as u32,
+                    ep: ep as u32,
+                };
+                put(scope, MetricKind::Cwnd, c.cc.cwnd);
+                put(scope, MetricKind::Ssthresh, c.cc.ssthresh);
+                put(
+                    scope,
+                    MetricKind::SrttNanos,
+                    c.srtt().unwrap_or(Nanos::ZERO).as_nanos(),
+                );
+                put(scope, MetricKind::RttvarNanos, c.rttvar().as_nanos());
+                put(scope, MetricKind::BytesInFlight, c.inflight_bytes());
+                put(scope, MetricKind::Retransmits, c.stats.retransmits);
             }
-            let c = &flow.conns[ep];
-            let scope = Scope::Flow {
-                flow: f as u32,
-                ep: ep as u32,
-            };
-            tl.record(scope, MetricKind::Cwnd, now, c.cc.cwnd);
-            tl.record(scope, MetricKind::Ssthresh, now, c.cc.ssthresh);
-            tl.record(
-                scope,
-                MetricKind::SrttNanos,
-                now,
-                c.srtt().unwrap_or(Nanos::ZERO).as_nanos(),
-            );
-            tl.record(scope, MetricKind::RttvarNanos, now, c.rttvar().as_nanos());
-            tl.record(scope, MetricKind::BytesInFlight, now, c.inflight_bytes());
-            tl.record(scope, MetricKind::Retransmits, now, c.stats.retransmits);
         }
     }
-    for (h, host) in lab.hosts.iter().enumerate() {
-        if let Some(g) = &lab.grid {
-            if !g.owns(h) {
+    if sel.samples(ScopeKind::Host) {
+        for (h, host) in lab.hosts.iter().enumerate() {
+            if grid.is_some_and(|g| !g.owns(h)) {
                 continue;
             }
-        }
-        let scope = Scope::Host { host: h as u32 };
-        if grid_mode {
-            tl.record(
-                scope,
-                MetricKind::CpuBusyNanos,
-                now,
-                host.hottest_cpu_busy_total().as_nanos(),
-            );
-        } else {
-            let busy = host.hottest_cpu_busy(now);
-            let delta = busy.saturating_sub(obs.cpu_prev[h]);
-            obs.cpu_prev[h] = busy;
-            let permille = if obs.interval == Nanos::ZERO {
-                0
+            let scope = Scope::Host { host: h as u32 };
+            if grid.is_some() {
+                put(
+                    scope,
+                    MetricKind::CpuBusyNanos,
+                    host.hottest_cpu_busy_total().as_nanos(),
+                );
             } else {
-                (delta.as_nanos().saturating_mul(1000) / obs.interval.as_nanos()).min(1000)
-            };
-            tl.record(scope, MetricKind::CpuPermille, now, permille);
+                let busy = host.hottest_cpu_busy(now);
+                let delta = busy.saturating_sub(obs.cpu_prev[h]);
+                obs.cpu_prev[h] = busy;
+                let permille = if obs.interval == Nanos::ZERO {
+                    0
+                } else {
+                    (delta.as_nanos().saturating_mul(1000) / obs.interval.as_nanos()).min(1000)
+                };
+                put(scope, MetricKind::CpuPermille, permille);
+            }
+            put(
+                scope,
+                MetricKind::RxRingFrames,
+                host.rx_pending.len() as u64,
+            );
+            put(
+                scope,
+                MetricKind::CoalescePending,
+                host.coalescer.pending() as u64,
+            );
+            put(
+                scope,
+                MetricKind::CoalesceDelayNanos,
+                host.cfg.nic.rx_coalesce_delay.as_nanos(),
+            );
+            put(scope, MetricKind::RxCrcDrops, host.rx_crc_drops);
         }
-        tl.record(
-            scope,
-            MetricKind::RxRingFrames,
-            now,
-            host.rx_pending.len() as u64,
-        );
-        tl.record(
-            scope,
-            MetricKind::CoalescePending,
-            now,
-            host.coalescer.pending() as u64,
-        );
-        tl.record(
-            scope,
-            MetricKind::CoalesceDelayNanos,
-            now,
-            host.cfg.nic.rx_coalesce_delay.as_nanos(),
-        );
-        tl.record(scope, MetricKind::RxCrcDrops, now, host.rx_crc_drops);
     }
-    for (l, link) in lab.links.iter().enumerate() {
-        if let Some(g) = &lab.grid {
-            if !link_owned(lab, g, l) {
+    if sel.samples(ScopeKind::Link) {
+        for (l, link) in lab.links.iter().enumerate() {
+            if grid.is_some_and(|g| !g.owns_link(l)) {
                 continue;
             }
+            let scope = Scope::Link { link: l as u32 };
+            if grid.is_none() {
+                let backlog: u64 = link.hops.iter().map(|hop| hop.backlog_bytes(now)).sum();
+                put(scope, MetricKind::QueueBytes, backlog);
+            }
+            put(scope, MetricKind::QueueDrops, link.total_drops());
+            put(scope, MetricKind::ImpairDrops, link.impair_drops());
         }
-        let scope = Scope::Link { link: l as u32 };
-        if !grid_mode {
-            let backlog: u64 = link.hops.iter().map(|hop| hop.backlog_bytes(now)).sum();
-            tl.record(scope, MetricKind::QueueBytes, now, backlog);
-        }
-        tl.record(scope, MetricKind::QueueDrops, now, link.total_drops());
-        tl.record(scope, MetricKind::ImpairDrops, now, link.impair_drops());
     }
     let interval = obs.interval;
     // Classic mode stops sampling once every workload completes; grid
     // mode re-arms while this shard's calendar holds any event (so every
     // active phase is sampled on the global k·interval grid) and goes
     // dormant when it drains — revived by the next cross-shard message.
-    let rearm = if grid_mode {
+    let rearm = if grid.is_some() {
         eng.pending() > 0
     } else {
         !lab.all_done()
@@ -883,23 +894,6 @@ fn obs_sample(lab: &mut Lab, eng: &mut LabEngine) {
     if rearm {
         eng.schedule_event_at(now + interval, Ev::ObsSample);
     }
-}
-
-/// The owning-shard test for link `l` in grid mode: a link belongs to the
-/// shard owning its *transmitting* host (the only shard whose events
-/// mutate the link's state). Any flow routing over the link names the
-/// transmitter; the grid partition-safety rule guarantees every flow
-/// sharing the link agrees. A link referenced by no flow is sampled by no
-/// shard — it can never change, so omitting it is invariant too.
-fn link_owned(lab: &Lab, g: &GridRt, l: usize) -> bool {
-    for flow in &lab.flows {
-        for dir in 0..2 {
-            if flow.route[dir].contains(&l) {
-                return g.owns(flow.host[dir]);
-            }
-        }
-    }
-    false
 }
 
 /// Grid-mode revival of a dormant sampling chain: when a cross-shard
@@ -1610,6 +1604,15 @@ mod tests {
     use tengig_sim::Bandwidth;
 
     fn b2b_lab(rung: LadderRung, mtu: Mtu, payload: u64, count: u64) -> (Lab, LabEngine) {
+        let mut lab = b2b_world(rung, mtu, payload, count);
+        let mut eng = Engine::new();
+        eng.event_limit = 50_000_000;
+        kick(&mut lab, &mut eng);
+        (lab, eng)
+    }
+
+    /// The back-to-back topology of [`b2b_lab`], not yet kicked.
+    fn b2b_world(rung: LadderRung, mtu: Mtu, payload: u64, count: u64) -> Lab {
         let cfg = rung.pe2650_config(mtu);
         let mut lab = Lab::new();
         let a = lab.add_host(cfg);
@@ -1634,10 +1637,129 @@ mod tests {
                 rx: NttcpReceiver::new(total),
             },
         );
+        lab
+    }
+
+    /// The series a selected metric set records in a classic-mode run.
+    fn observed(metrics: MetricSet) -> Timelines {
+        let mut lab = b2b_world(LadderRung::Stock, Mtu::STANDARD, 1448, 300);
+        let cfg = ObsConfig {
+            sample_interval: Nanos::from_micros(20),
+            metrics,
+            ..ObsConfig::default()
+        };
+        lab.enable_obs(&cfg, 7);
         let mut eng = Engine::new();
-        eng.event_limit = 50_000_000;
         kick(&mut lab, &mut eng);
-        (lab, eng)
+        eng.run(&mut lab);
+        assert!(lab.all_done());
+        lab.take_timelines().expect("obs was enabled")
+    }
+
+    #[test]
+    fn obs_records_exactly_the_selected_metrics() {
+        let all = observed(MetricSet::ALL);
+        let kind = |s: &Scope| match s {
+            Scope::Flow { .. } => ScopeKind::Flow,
+            Scope::Host { .. } => ScopeKind::Host,
+            Scope::Link { .. } => ScopeKind::Link,
+        };
+        for kinds in [
+            &[MetricKind::Cwnd, MetricKind::Retransmits][..],
+            &[MetricKind::CpuPermille, MetricKind::RxRingFrames],
+            &[MetricKind::QueueBytes, MetricKind::Ssthresh],
+            &[],
+        ] {
+            let sel = MetricSet::of(kinds);
+            let tl = observed(sel);
+            // Point for point the selected slice of the full run: the
+            // selection drops series, never changes a value.
+            let want: Vec<_> = all.iter().filter(|((_, m), _)| sel.contains(*m)).collect();
+            let got: Vec<_> = tl.iter().collect();
+            assert_eq!(got, want, "selection {kinds:?}");
+            for &k in kinds {
+                assert!(tl.iter().any(|((_, m), _)| *m == k), "{k} not recorded");
+            }
+            // A scope kind with no selected metric records nothing.
+            for sk in [ScopeKind::Flow, ScopeKind::Host, ScopeKind::Link] {
+                if !sel.samples(sk) {
+                    assert!(tl.iter().all(|((s, _), _)| kind(s) != sk), "{sk:?} sampled");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn enable_grid_rejects_an_uplink_shared_across_shards() {
+        // Two senders share one uplink into a server; round-robin
+        // ownership puts them on shards 0 and 1.
+        let build = || {
+            let cfg = LadderRung::Stock.pe2650_config(Mtu::STANDARD);
+            let mut lab = Lab::new();
+            let a = lab.add_host(cfg);
+            let b = lab.add_host(cfg);
+            let srv = lab.add_host(cfg);
+            let path = Path {
+                hops: vec![Hop::wire(
+                    "up",
+                    Bandwidth::from_gbps(1),
+                    Nanos::from_micros(5),
+                )],
+            };
+            let up = lab.add_link(&path, SimRng::seeded(1));
+            for (i, h) in [a, b].into_iter().enumerate() {
+                let down = lab.add_link(&path, SimRng::seeded(2 + i as u64));
+                lab.add_flow(
+                    h,
+                    srv,
+                    vec![up],
+                    vec![down],
+                    App::Nttcp {
+                        tx: NttcpSender::new(1448, 10),
+                        rx: NttcpReceiver::new(1448 * 10),
+                    },
+                );
+            }
+            let idle = lab.add_link(&path, SimRng::seeded(9));
+            (lab, up, idle)
+        };
+        let (mut lab, up, _) = build();
+        let err = lab
+            .enable_grid(GridRt::new(2, 0, vec![0, 1, 0], 2))
+            .expect_err("senders on two shards share the uplink");
+        assert_eq!(
+            err,
+            GridError::LinkSpansShards {
+                link: up,
+                hosts: [0, 1],
+                shards: [0, 1],
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "link 0 is transmitted on by host 0 (shard 0) and host 1 (shard 1)"
+        );
+        assert!(lab.grid().is_none(), "a rejected grid is not installed");
+
+        // Both senders on one shard: safe, and only that shard owns the
+        // uplink. A link no flow routes over belongs to no shard.
+        for shard in 0..2 {
+            let (mut lab, up, idle) = build();
+            lab.enable_grid(GridRt::new(2, shard, vec![1, 1, 0], 2))
+                .expect("both senders on shard 1");
+            let g = lab.grid().expect("grid installed");
+            assert_eq!(g.owns_link(up), shard == 1);
+            assert!(!g.owns_link(idle));
+        }
+
+        let (mut lab, _, _) = build();
+        assert_eq!(
+            lab.enable_grid(GridRt::new(1, 0, vec![0, 0], 2)),
+            Err(GridError::OwnerMap {
+                hosts: 3,
+                owners: 2
+            })
+        );
     }
 
     #[test]

@@ -36,7 +36,9 @@ pub mod workload;
 
 pub use calendar::{Calendar, EventId};
 pub use engine::{Engine, EventFire};
-pub use obs::{FlightDump, MetricKind, ObsConfig, Scope, StepSeries, Timelines};
+pub use obs::{
+    FlightDump, MetricKind, MetricSet, ObsConfig, Scope, ScopeKind, StepSeries, Timelines,
+};
 pub use prof::{CalendarCounters, EngineCounters, Hist, WallStats};
 pub use rng::SimRng;
 pub use sanitizer::{Sanitizer, SimConfig, Violation, ViolationKind};

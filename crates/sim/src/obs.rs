@@ -39,6 +39,11 @@ pub struct ObsConfig {
     /// MAGNET's sampling mode. The sampling RNG is forked from the lab
     /// seed, so the kept sample is a pure function of `(config, seed)`.
     pub sample_every: u64,
+    /// The metrics a sample records (default: all). Every metric lives
+    /// on exactly one [`ScopeKind`], so the set alone decides which of
+    /// the flow, host and link loops a sample runs: a family pays only
+    /// for the series it exports.
+    pub metrics: MetricSet,
 }
 
 impl ObsConfig {
@@ -70,6 +75,7 @@ impl Default for ObsConfig {
             sample_interval: Self::DEFAULT_INTERVAL,
             ring_capacity: Self::DEFAULT_RING,
             sample_every: 1,
+            metrics: MetricSet::ALL,
         }
     }
 }
@@ -142,6 +148,61 @@ impl MetricKind {
             .copied()
             .find(|k| k.to_string() == name)
     }
+
+    /// The one kind of scope this metric is sampled on.
+    pub const fn scope_kind(self) -> ScopeKind {
+        match self {
+            MetricKind::Cwnd
+            | MetricKind::Ssthresh
+            | MetricKind::SrttNanos
+            | MetricKind::RttvarNanos
+            | MetricKind::BytesInFlight
+            | MetricKind::Retransmits => ScopeKind::Flow,
+            MetricKind::RxRingFrames
+            | MetricKind::CoalescePending
+            | MetricKind::CoalesceDelayNanos
+            | MetricKind::CpuPermille
+            | MetricKind::RxCrcDrops
+            | MetricKind::CpuBusyNanos => ScopeKind::Host,
+            MetricKind::QueueBytes | MetricKind::QueueDrops | MetricKind::ImpairDrops => {
+                ScopeKind::Link
+            }
+        }
+    }
+}
+
+/// A set of [`MetricKind`]s, one bit per kind: the selection an
+/// [`ObsConfig`] records.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MetricSet(u16);
+
+impl MetricSet {
+    /// Every metric (the default).
+    pub const ALL: MetricSet = MetricSet::of(&MetricKind::ALL);
+
+    /// The set holding exactly `kinds`.
+    pub const fn of(kinds: &[MetricKind]) -> MetricSet {
+        let mut bits = 0u16;
+        let mut i = 0;
+        while i < kinds.len() {
+            bits |= 1 << kinds[i] as u16;
+            i += 1;
+        }
+        MetricSet(bits)
+    }
+
+    /// Whether `k` is selected.
+    pub const fn contains(self, k: MetricKind) -> bool {
+        self.0 & (1 << k as u16) != 0
+    }
+
+    /// Whether any selected metric is sampled on `scope`. A sample skips
+    /// the loop over a scope kind that has none.
+    pub fn samples(self, scope: ScopeKind) -> bool {
+        MetricKind::ALL
+            .iter()
+            .any(|&k| self.contains(k) && k.scope_kind() == scope)
+    }
 }
 
 impl fmt::Display for MetricKind {
@@ -165,6 +226,17 @@ impl fmt::Display for MetricKind {
         };
         f.write_str(s)
     }
+}
+
+/// The kind of thing a series is attached to, without its index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScopeKind {
+    /// Flow endpoints ([`Scope::Flow`]).
+    Flow,
+    /// Hosts ([`Scope::Host`]).
+    Host,
+    /// Links ([`Scope::Link`]).
+    Link,
 }
 
 /// What a series is attached to.
@@ -376,7 +448,9 @@ impl Timelines {
 
     /// Parse a document produced by [`Timelines::to_jsonl`]. The parser
     /// accepts exactly that shape (this is a round-trip format, not a
-    /// general JSON reader).
+    /// general JSON reader) and is total: any other input is an `Err`,
+    /// never a panic — a zero interval or a scope index beyond `u32`
+    /// included.
     pub fn from_jsonl(text: &str) -> Result<Timelines, String> {
         let mut lines = text.lines().enumerate();
         let (_, header) = lines
@@ -387,22 +461,29 @@ impl Timelines {
         }
         let interval = field_u64(header, "interval_ns")
             .ok_or_else(|| format!("header missing interval_ns: {header}"))?;
+        if interval == 0 {
+            return Err("interval_ns must be positive".to_string());
+        }
         let mut tl = Timelines::new(Nanos::from_nanos(interval));
         for (idx, line) in lines {
             if line.trim().is_empty() {
                 continue;
             }
             let lineno = idx + 1;
+            let index = |key: &str| -> Result<u32, String> {
+                let v = field_u64(line, key).ok_or_else(|| err_at(lineno, key))?;
+                u32::try_from(v).map_err(|_| format!("line {lineno}: `{key}` {v} exceeds u32"))
+            };
             let scope = match field_str(line, "scope") {
                 Some("flow") => Scope::Flow {
-                    flow: field_u64(line, "flow").ok_or_else(|| err_at(lineno, "flow"))? as u32,
-                    ep: field_u64(line, "ep").ok_or_else(|| err_at(lineno, "ep"))? as u32,
+                    flow: index("flow")?,
+                    ep: index("ep")?,
                 },
                 Some("host") => Scope::Host {
-                    host: field_u64(line, "host").ok_or_else(|| err_at(lineno, "host"))? as u32,
+                    host: index("host")?,
                 },
                 Some("link") => Scope::Link {
-                    link: field_u64(line, "link").ok_or_else(|| err_at(lineno, "link"))? as u32,
+                    link: index("link")?,
                 },
                 other => return Err(format!("line {lineno}: unknown scope {other:?}")),
             };
@@ -778,6 +859,36 @@ mod tests {
         assert!(e.contains("line 2"), "{e}");
         let e = err(&with("{\"scope\":\"host\",\"host\":0,\"metric\":\"cwnd\"}"));
         assert!(e.contains("missing points"), "{e}");
+        assert!(err("{\"obs\":\"timelines\",\"interval_ns\":0,\"series\":0}").contains("positive"));
+    }
+
+    #[test]
+    fn from_jsonl_rejects_indices_beyond_u32() {
+        let hdr = "{\"obs\":\"timelines\",\"interval_ns\":1000,\"series\":1}\n";
+        let doc = |scope: &str| format!("{hdr}{scope},\"metric\":\"cwnd\",\"points\":[[1,2]]}}\n");
+        let max = u64::from(u32::MAX);
+        let ok = Timelines::from_jsonl(&doc(&format!(
+            "{{\"scope\":\"flow\",\"flow\":{max},\"ep\":1"
+        )))
+        .expect("u32::MAX is a valid index");
+        assert!(ok
+            .get(
+                Scope::Flow {
+                    flow: u32::MAX,
+                    ep: 1
+                },
+                MetricKind::Cwnd
+            )
+            .is_some());
+        for scope in [
+            format!("{{\"scope\":\"flow\",\"flow\":{},\"ep\":0", max + 1),
+            format!("{{\"scope\":\"flow\",\"flow\":0,\"ep\":{}", max + 1),
+            format!("{{\"scope\":\"host\",\"host\":{}", max + 1),
+            format!("{{\"scope\":\"link\",\"link\":{}", u64::MAX),
+        ] {
+            let e = Timelines::from_jsonl(&doc(&scope)).expect_err("index beyond u32");
+            assert!(e.contains("exceeds u32"), "{e}");
+        }
     }
 
     #[test]
@@ -825,6 +936,25 @@ mod tests {
             a.get(flow0(), MetricKind::Cwnd).map(StepSeries::points),
             Some(&[(Nanos(10), 5u64), (Nanos(30), 7)][..])
         );
+    }
+
+    #[test]
+    fn metric_set_selects_kinds_and_their_scopes() {
+        for k in MetricKind::ALL {
+            assert!(MetricSet::ALL.contains(k));
+            let only = MetricSet::of(&[k]);
+            assert!(MetricKind::ALL
+                .iter()
+                .all(|&j| only.contains(j) == (j == k)));
+            for scope in [ScopeKind::Flow, ScopeKind::Host, ScopeKind::Link] {
+                assert_eq!(only.samples(scope), k.scope_kind() == scope);
+            }
+        }
+        let cpu = MetricSet::of(&[MetricKind::CpuBusyNanos]);
+        assert!(cpu.samples(ScopeKind::Host));
+        assert!(!cpu.samples(ScopeKind::Flow) && !cpu.samples(ScopeKind::Link));
+        assert!(!MetricSet::of(&[]).samples(ScopeKind::Host));
+        assert_eq!(ObsConfig::default().metrics, MetricSet::ALL);
     }
 
     #[test]

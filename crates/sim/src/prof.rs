@@ -190,7 +190,8 @@ impl Hist {
 
     /// Parse a rendering produced by [`Hist::render`] (the object may be
     /// embedded in a larger JSON line; parsing starts at `text`'s first
-    /// `{`). Errors name the missing or malformed field.
+    /// `{`). Errors name the missing or malformed field. Total: any
+    /// input that is not such a rendering is an `Err`, never a panic.
     pub fn parse(text: &str) -> Result<Hist, String> {
         let field = |name: &str| -> Result<u64, String> {
             let pat = format!("\"{name}\":");
@@ -230,9 +231,17 @@ impl Hist {
             }
             h.buckets[k] = c;
         }
-        let total: u64 = h.buckets.iter().sum();
+        let total = h
+            .buckets
+            .iter()
+            .try_fold(0u64, |acc, &c| acc.checked_add(c))
+            .ok_or("bucket sum overflows u64")?;
         if total != h.count {
             return Err(format!("bucket sum {total} != count {}", h.count));
+        }
+        // Percentiles clamp to [min, max], which needs min <= max.
+        if h.min > h.max {
+            return Err(format!("min {} above max {}", h.min, h.max));
         }
         Ok(h)
     }
@@ -481,6 +490,18 @@ mod tests {
         assert!(
             Hist::parse("{\"count\":1,\"min\":0,\"max\":0,\"buckets\":[[99,1]]}").is_err(),
             "out-of-range bucket index must be rejected"
+        );
+        let overflow = format!(
+            "{{\"count\":1,\"min\":0,\"max\":0,\"buckets\":[[0,{}],[1,2]]}}",
+            u64::MAX
+        );
+        assert!(
+            Hist::parse(&overflow).is_err(),
+            "a bucket sum past u64::MAX must be rejected, not overflow"
+        );
+        assert!(
+            Hist::parse("{\"count\":1,\"min\":9,\"max\":2,\"buckets\":[[2,1]]}").is_err(),
+            "min above max must be rejected (percentiles clamp to [min, max])"
         );
     }
 

@@ -22,6 +22,7 @@ fn quick_obs() -> ObsConfig {
         sample_interval: Nanos::from_micros(50),
         ring_capacity: 128,
         sample_every: 4,
+        ..ObsConfig::default()
     }
 }
 

@@ -70,6 +70,7 @@ fn metrics_sidecar_is_byte_identical_across_thread_counts() {
         sample_interval: Nanos::from_micros(50),
         ring_capacity: 64,
         sample_every: 4,
+        ..ObsConfig::default()
     };
     let sweep = |threads: usize, master_seed: u64| {
         let (_, report, sidecar) = throughput_sweep_with_metrics(
