@@ -57,14 +57,16 @@ lint-selftest:
 #   prof    the "sim" profiling sidecar vs prof_throughput.jsonl, and the
 #           profiled report vs grid.jsonl;
 #   serve   FCT/goodput report plus CPU-saturation sidecar vs serve.jsonl.
-# grid, prof and serve run at shards 1 and 4 against the same goldens,
-# which are shard-count-invariant by construction. On mismatch each family
+# grid, prof and serve run at shards 1, 2 and 4 (the CI check matrix)
+# against the same goldens, which are shard-count-invariant by
+# construction. On mismatch each family
 # writes its divergent documents to target/<family>_current.jsonl.
 # Regenerate a family's goldens deliberately with
 # `tengig-check FAMILY --write-golden`.
 check:
 	$(CARGO) run --release -q -p tengig-bench --bin tengig-check -- obs faults
 	$(CARGO) run --release -q -p tengig-bench --bin tengig-check -- grid prof serve --shards 1
+	$(CARGO) run --release -q -p tengig-bench --bin tengig-check -- grid prof serve --shards 2
 	$(CARGO) run --release -q -p tengig-bench --bin tengig-check -- grid prof serve --shards 4
 
 # Refresh the wall-clock benchmark baseline: runs the fixed pinned-seed

@@ -275,11 +275,16 @@ mod parse {
             .ok_or_else(|| format!("missing field `{key}`"))
     }
 
+    /// Deepest array/object nesting a document may use. A report nests
+    /// three levels; the bound keeps the recursive descent's stack use
+    /// fixed, so a hostile document is an `Err`, not a stack overflow.
+    pub const MAX_DEPTH: usize = 64;
+
     /// Parse a complete JSON document.
     pub fn json(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = value(bytes, &mut pos)?;
+        let v = value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -302,11 +307,14 @@ mod parse {
         }
     }
 
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(b, pos);
+        if depth >= MAX_DEPTH && matches!(b.get(*pos), Some(b'{' | b'[')) {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+        }
         match b.get(*pos) {
-            Some(b'{') => object(b, pos),
-            Some(b'[') => array(b, pos),
+            Some(b'{') => object(b, pos, depth + 1),
+            Some(b'[') => array(b, pos, depth + 1),
             Some(b'"') => Ok(Value::Str(string(b, pos)?)),
             Some(b't') => literal(b, pos, "true", Value::Bool(true)),
             Some(b'f') => literal(b, pos, "false", Value::Bool(false)),
@@ -325,7 +333,7 @@ mod parse {
         }
     }
 
-    fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         expect(b, pos, b'{')?;
         let mut fields = Vec::new();
         skip_ws(b, pos);
@@ -338,7 +346,7 @@ mod parse {
             let key = string(b, pos)?;
             skip_ws(b, pos);
             expect(b, pos, b':')?;
-            fields.push((key, value(b, pos)?));
+            fields.push((key, value(b, pos, depth)?));
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -351,7 +359,7 @@ mod parse {
         }
     }
 
-    fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         expect(b, pos, b'[')?;
         let mut items = Vec::new();
         skip_ws(b, pos);
@@ -360,7 +368,7 @@ mod parse {
             return Ok(Value::Arr(items));
         }
         loop {
-            items.push(value(b, pos)?);
+            items.push(value(b, pos, depth)?);
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -434,9 +442,12 @@ mod parse {
                 break;
             }
         }
+        // Finite only: an overflowing literal (`1e999`) would parse to an
+        // infinity that no report can render back.
         std::str::from_utf8(&b[start..*pos])
             .ok()
             .and_then(|s| s.parse().ok())
+            .filter(|x: &f64| x.is_finite())
             .map(Value::Num)
             .ok_or_else(|| format!("bad number at byte {start}"))
     }

@@ -127,18 +127,15 @@ fn multiflow() -> (u64, u64) {
 /// §4 Internet2 Land Speed Record: a windowed single-stream WAN run.
 fn wan_record() -> (u64, u64) {
     let (mut lab, mut eng) = wan_lab_seeded(&WanSpec::record_run(), None, SEED);
-    lab::kick(&mut lab, &mut eng);
-    let warmup = Nanos::from_secs(3);
+    let window_bytes = windowed(&mut lab, &mut eng, Nanos::from_secs(3));
+    (eng.executed(), window_bytes)
+}
+
+/// NTTCP payload bytes delivered over a 5 s window after `warmup`.
+fn windowed(lab: &mut lab::Lab, eng: &mut lab::LabEngine, warmup: Nanos) -> u64 {
     let window = Nanos::from_secs(5);
-    eng.advance_to(&mut lab, warmup);
-    let received = |lab: &lab::Lab| match &lab.flows[0].app {
-        App::Nttcp { rx, .. } => rx.received,
-        _ => 0,
-    };
-    let b0 = received(&lab);
-    eng.advance_to(&mut lab, warmup + window);
-    lab::check_sanitizer(&lab, &mut eng, false);
-    (eng.executed(), received(&lab) - b0)
+    let [b0, b1] = lab::run_window(lab, eng, warmup, window, |l, _| l.nttcp_received());
+    b1 - b0
 }
 
 /// The windowed WAN run again, but with Gilbert–Elliott burst loss on
@@ -151,18 +148,8 @@ fn wan_burst_loss() -> (u64, u64) {
     let mut wan = scaled_wan(Nanos::from_millis(20), 64 << 20);
     wan.impair = Impairments::none().with_burst(GilbertElliott::bursty(3e-3, 8.0));
     let (mut lab, mut eng) = faults_lab(&wan, Some(256 << 10), SEED);
-    lab::kick(&mut lab, &mut eng);
-    let warmup = Nanos::from_secs(2);
-    let window = Nanos::from_secs(5);
-    eng.advance_to(&mut lab, warmup);
-    let received = |lab: &lab::Lab| match &lab.flows[0].app {
-        App::Nttcp { rx, .. } => rx.received,
-        _ => 0,
-    };
-    let b0 = received(&lab);
-    eng.advance_to(&mut lab, warmup + window);
-    lab::check_sanitizer(&lab, &mut eng, false);
-    (eng.executed(), received(&lab) - b0)
+    let window_bytes = windowed(&mut lab, &mut eng, Nanos::from_secs(2));
+    (eng.executed(), window_bytes)
 }
 
 /// Iterations of the raw arm/cancel churn benchmark. Sized so the

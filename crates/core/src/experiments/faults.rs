@@ -25,14 +25,14 @@
 //! byte-identical across 1/4 runner threads.
 
 use crate::config::HostConfig;
-use crate::experiments::wan::wan_host;
+use crate::experiments::{run_to_completion, wan::wan_host};
 use crate::lab::{self, App, Lab, LabEngine};
 use crate::report::{Json, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use tengig_net::{GilbertElliott, Hop, ImpairmentSchedule, Impairments, Path, Reorder, WanSpec};
 use tengig_nic::NicSpec;
-use tengig_sim::{rate_of, Bandwidth, Engine, Nanos, Sanitizer, SimRng};
+use tengig_sim::{rate_of, Bandwidth, Nanos, Sanitizer, SimRng};
 use tengig_tcp::Sysctls;
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
@@ -92,9 +92,7 @@ pub fn faults_lab_tuned(
             rx: NttcpReceiver::new(payload * count),
         },
     );
-    let mut eng = Engine::new();
-    eng.event_limit = 2_000_000_000;
-    lab::install_default_sanitizer(&mut lab, &mut eng, seed);
+    let eng = lab::engine(&mut lab, seed);
     (lab, eng)
 }
 
@@ -149,36 +147,6 @@ pub const FLAP_RTTS: [Nanos; 3] = [
 /// interesting — and monotone — regime is the window crossing.
 pub const BURST_LENGTHS: [f64; 3] = [8.0, 16.0, 32.0];
 
-fn windowed_run(
-    wan: &WanSpec,
-    buffer: Option<u64>,
-    warmup: Nanos,
-    window: Nanos,
-    seed: u64,
-) -> FaultResult {
-    let (mut lab, mut eng) = faults_lab(wan, buffer, seed);
-    lab::kick(&mut lab, &mut eng);
-    eng.advance_to(&mut lab, warmup);
-    let received = |lab: &Lab| match &lab.flows[0].app {
-        App::Nttcp { rx, .. } => rx.received,
-        _ => 0,
-    };
-    let b0 = received(&lab);
-    eng.advance_to(&mut lab, warmup + window);
-    // Windowed run: frames are still in flight, so no drain check.
-    lab::check_sanitizer(&lab, &mut eng, false);
-    let b1 = received(&lab);
-    let conn = &lab.flows[0].conns[0];
-    FaultResult {
-        gbps: rate_of(b1 - b0, window).gbps(),
-        retransmits: conn.stats.retransmits,
-        timeouts: conn.cc.timeouts,
-        fast_retransmits: conn.cc.fast_retransmits,
-        impair_drops: lab.links[0].impair_drops(),
-        drops: lab.links[0].total_drops(),
-    }
-}
-
 /// Sweep Gilbert–Elliott burst length at fixed mean loss on a 20 ms-RTT
 /// scaled WAN and report goodput per point.
 ///
@@ -210,8 +178,19 @@ pub fn burst_sweep_report(
     let results = runner
         .run(&grid, |sc| {
             let imp = Impairments::none().with_burst(GilbertElliott::bursty(mean_loss, sc.input));
-            let spec = wan.with_impairments(imp);
-            windowed_run(&spec, buffer, warmup, window, sc.seed)
+            let (mut lab, mut eng) = faults_lab(&wan.with_impairments(imp), buffer, sc.seed);
+            let [b0, b1] = lab::run_window(&mut lab, &mut eng, warmup, window, |l, _| {
+                l.nttcp_received()
+            });
+            let conn = &lab.flows[0].conns[0];
+            FaultResult {
+                gbps: rate_of(b1 - b0, window).gbps(),
+                retransmits: conn.stats.retransmits,
+                timeouts: conn.cc.timeouts,
+                fast_retransmits: conn.cc.fast_retransmits,
+                impair_drops: lab.links[0].impair_drops(),
+                drops: lab.links[0].total_drops(),
+            }
         })
         .expect("burst sweep scenario panicked");
     let mut report = SweepReport::new("faults/burst_sweep", master_seed);
@@ -487,7 +466,7 @@ fn chaos_lab(spec: &ChaosSpec, seed: u64) -> (Lab, LabEngine) {
             rx: NttcpReceiver::new(payload * count),
         },
     );
-    let mut eng = Engine::new();
+    let mut eng = lab::engine(&mut lab, seed);
     eng.event_limit = 50_000_000;
     // Chaos runs always arm the sanitizer and flight recorder — the whole
     // point is running pathological inputs with the invariants on,
@@ -508,16 +487,9 @@ pub fn chaos_run(seed: u64, inject_failure: bool) -> Result<ChaosOutcome, String
         if inject_failure {
             panic!("injected chaos failure (seed {seed}) — repro-path self-test");
         }
-        lab::kick(&mut lab, &mut eng);
-        eng.run(&mut lab);
-        assert!(
-            lab.all_done(),
-            "chaos scenario stalled: {} events executed without completing",
-            eng.executed()
-        );
         // Drained run: every injected byte must be delivered or accounted
         // as dropped, duplicates and corruption included.
-        lab::check_sanitizer(&lab, &mut eng, true);
+        run_to_completion(&mut lab, &mut eng);
         let m = &lab.flows[0].meas;
         let (t0, t1) = (
             m.t_start.unwrap_or(Nanos::ZERO),

@@ -11,7 +11,7 @@
 //!
 //! Every run goes through [`run_grid`], which executes the world as
 //! `shards` conservatively synchronized replicas (see
-//! [`crate::lab::grid`] and [`tengig_sim::run_sharded`]); the fabric's
+//! [`crate::lab::run_replicated`]); the fabric's
 //! [`lookahead`](tengig_net::FatTreeSpec::lookahead) — the minimum
 //! cross-shard path base latency — is the synchronization window. The
 //! merged result is a pure function of `(preset, seed)`: **shard count
@@ -23,17 +23,14 @@
 //! shards, and neither axis is allowed to leak into the output.
 
 use crate::config::{HostConfig, LadderRung};
-use crate::lab::{self, App, Ev, GridRt, GridShard, Lab};
+use crate::lab::{run_replicated, App, Ev, GridShard, Lab, Replicated};
 use crate::report::{Json, MetricsSidecar, SweepReport};
 use crate::sweep::{scenarios, Scenario, SweepRunner};
 use std::fmt::Write as _;
 use tengig_ethernet::Mtu;
 use tengig_net::{FatTreeSpec, TorusSpec};
 use tengig_nic::NicSpec;
-use tengig_sim::{
-    rate_of, run_sharded, run_sharded_wall, Engine, EngineCounters, Hist, Nanos, ObsConfig, SimRng,
-    Timelines, WallStats,
-};
+use tengig_sim::{rate_of, EngineCounters, Hist, Nanos, ObsConfig, SimRng, Timelines, WallStats};
 use tengig_tcp::Sysctls;
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
@@ -128,21 +125,14 @@ pub(crate) fn tengbe() -> HostConfig {
     LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000)
 }
 
-/// Build one shard's replica of the preset's world: the full topology is
-/// constructed identically on every shard (same seed, same fork labels,
-/// same index order), then the replica is switched into grid mode with a
-/// host-index round-robin ownership map and kicked.
+/// Build the preset's world — one shard's replica: the runner calls this
+/// once per shard, and every call constructs the identical topology (same
+/// seed, same fork labels, same index order).
 ///
 /// Links are per-flow private directional paths, which satisfies the
-/// grid partition-safety rule by construction (and `enable_grid` checks
+/// grid partition-safety rule by construction (and the runner checks
 /// it).
-fn build_replica(
-    preset: &GridPreset,
-    seed: u64,
-    shards: usize,
-    shard: usize,
-    obs: Option<&ObsConfig>,
-) -> GridShard {
+fn build_replica(preset: &GridPreset, seed: u64) -> Lab {
     let mut lab = Lab::new();
     let mut rng = SimRng::seeded(seed);
     match preset {
@@ -196,18 +186,25 @@ fn build_replica(
             }
         }
     }
-    let owner: Vec<usize> = (0..lab.hosts.len()).map(|h| h % shards).collect();
-    let flows = lab.flows.len();
-    lab.enable_grid(GridRt::new(shards, shard, owner, flows))
-        .expect("grid presets use private links, so every partition is safe");
-    if let Some(cfg) = obs {
-        lab.enable_obs(cfg, seed);
-    }
-    let mut eng = Engine::new();
-    eng.event_limit = 2_000_000_000;
-    lab::install_default_sanitizer(&mut lab, &mut eng, seed);
-    lab::kick(&mut lab, &mut eng);
-    GridShard { lab, eng }
+    lab
+}
+
+/// Run the preset on the replicated runner (see [`run_replicated`]).
+fn replicate(
+    preset: &GridPreset,
+    shards: usize,
+    seed: u64,
+    obs: Option<&ObsConfig>,
+    wall: bool,
+) -> Replicated {
+    run_replicated(
+        || build_replica(preset, seed),
+        shards,
+        seed,
+        preset.lookahead(),
+        obs,
+        wall,
+    )
 }
 
 /// Merged result of one grid run. Every field is shard-count-invariant —
@@ -237,57 +234,40 @@ pub struct GridResult {
 /// owner. (CPU-load figures are deliberately absent: they would read the
 /// *other* endpoint's replica, which is stale by design in grid mode.)
 pub fn run_grid(preset: &GridPreset, shards: usize, seed: u64) -> GridResult {
-    assert!(shards > 0, "a grid run needs at least one shard");
-    let mut replicas = build_replicas(preset, shards, seed, None);
-    run_sharded(&mut replicas, preset.lookahead());
-    merge_grid(&mut replicas, shards)
+    merge_grid(&replicate(preset, shards, seed, None, false))
 }
 
-/// Build every shard's replica of the preset's world.
-fn build_replicas(
-    preset: &GridPreset,
-    shards: usize,
-    seed: u64,
-    obs: Option<&ObsConfig>,
-) -> Vec<GridShard> {
-    (0..shards)
-        .map(|s| build_replica(preset, seed, shards, s, obs))
-        .collect()
-}
-
-/// Check every shard's sanitizer and merge the per-shard state into the
-/// shard-count-invariant [`GridResult`] (shared verbatim by the plain,
-/// profiled, and observed run paths, so all three produce identical
-/// result bytes by construction).
-fn merge_grid(replicas: &mut [GridShard], shards: usize) -> GridResult {
-    for shard in replicas.iter_mut() {
-        // Every calendar drained, so each shard's byte ledger must sit at
-        // zero in-flight (cross-shard frames were handed off explicitly).
-        lab::check_sanitizer(&shard.lab, &mut shard.eng, true);
-    }
-    let events: u64 = replicas.iter().map(|s| s.eng.executed()).sum();
+/// Merge the finished replicas into the shard-count-invariant
+/// [`GridResult`] (shared verbatim by the plain, profiled, and observed
+/// run paths, so all three produce identical result bytes by
+/// construction).
+fn merge_grid(run: &Replicated) -> GridResult {
     let mut payload_bytes = 0u64;
     let mut first_start: Option<Nanos> = None;
     let mut last_done: Option<Nanos> = None;
-    let flows = replicas[0].lab.flows.len();
-    for f in 0..flows {
-        let tx_owner = replicas[0].lab.flows[f].host[0] % shards;
-        let rx_owner = replicas[0].lab.flows[f].host[1] % shards;
-        let t_start = replicas[tx_owner].lab.flows[f].meas.t_start;
-        let t_done = replicas[rx_owner].lab.flows[f].meas.t_done;
-        let t_start = t_start.expect("flow never started on its owning shard");
-        let t_done = t_done.expect("flow never finished on its owning shard");
+    let flows = &run.shards[0].lab.flows;
+    for (f, flow) in flows.iter().enumerate() {
+        let tx = &run.lab_of(flow.host[0]).flows[f];
+        let rx = &run.lab_of(flow.host[1]).flows[f];
+        let t_start = tx
+            .meas
+            .t_start
+            .expect("flow never started on its owning shard");
+        let t_done = rx
+            .meas
+            .t_done
+            .expect("flow never finished on its owning shard");
         first_start = Some(first_start.map_or(t_start, |t| t.min(t_start)));
         last_done = Some(last_done.map_or(t_done, |t| t.max(t_done)));
-        if let App::Nttcp { rx, .. } = &replicas[rx_owner].lab.flows[f].app {
+        if let App::Nttcp { rx, .. } = &rx.app {
             payload_bytes += rx.received;
         }
     }
     let first_start = first_start.expect("grid presets always carry flows");
     let last_done = last_done.expect("grid presets always carry flows");
     GridResult {
-        flows: flows as u64,
-        events,
+        flows: flows.len() as u64,
+        events: run.events,
         payload_bytes,
         first_start,
         last_done,
@@ -319,15 +299,11 @@ pub struct GridProfile {
 /// Run one grid preset with the self-profiling plane collected: the
 /// identical simulation [`run_grid`] executes (same events, same result
 /// bytes), plus the deterministic counters and the wall-time
-/// barrier/execute accounting of [`tengig_sim::run_sharded_wall`].
+/// barrier/execute accounting of the synchronized run.
 pub fn run_grid_prof(preset: &GridPreset, shards: usize, seed: u64) -> (GridResult, GridProfile) {
-    assert!(shards > 0, "a grid run needs at least one shard");
-    let mut replicas = build_replicas(preset, shards, seed, None);
-    let mut wall = vec![WallStats::default(); shards];
-    run_sharded_wall(&mut replicas, preset.lookahead(), Some(&mut wall));
-    let result = merge_grid(&mut replicas, shards);
-    let profile = collect_profile(&preset.label(), seed, &replicas, &wall);
-    (result, profile)
+    let run = replicate(preset, shards, seed, None, true);
+    let profile = collect_profile(&preset.label(), seed, &run.shards, &run.wall);
+    (merge_grid(&run), profile)
 }
 
 /// Run one grid preset with observability timelines enabled on every
@@ -340,23 +316,9 @@ pub fn run_grid_obs(
     seed: u64,
     obs: &ObsConfig,
 ) -> (GridResult, Timelines) {
-    assert!(shards > 0, "a grid run needs at least one shard");
-    let mut replicas = build_replicas(preset, shards, seed, Some(obs));
-    run_sharded(&mut replicas, preset.lookahead());
-    let mut tl = replicas[0]
-        .lab
-        .take_timelines()
-        .expect("obs was enabled on every replica");
-    for shard in &mut replicas[1..] {
-        tl.merge(
-            &shard
-                .lab
-                .take_timelines()
-                .expect("obs was enabled on every replica"),
-        );
-    }
-    let result = merge_grid(&mut replicas, shards);
-    (result, tl)
+    let mut run = replicate(preset, shards, seed, Some(obs), false);
+    let tl = run.timelines.take().expect("obs was enabled");
+    (merge_grid(&run), tl)
 }
 
 /// Assemble the three profile sections from the finished replicas.

@@ -1,8 +1,8 @@
 //! NetPipe latency experiments: Figs. 6 and 7.
 
-use super::two_host_lab;
+use super::{run_to_completion, two_host_lab};
 use crate::config::{HostConfig, TuningStep};
-use crate::lab::{self, App};
+use crate::lab::App;
 use crate::report::{Json, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
 use tengig_sim::stats::Series;
@@ -23,10 +23,7 @@ pub fn netpipe_point_seeded(
 ) -> Nanos {
     let app = App::NetPipe(NetPipe::new(payload, ROUNDS));
     let (mut lab, mut eng) = two_host_lab(cfg, cfg, app, seed, through_switch);
-    lab::kick(&mut lab, &mut eng);
-    eng.run(&mut lab);
-    assert!(lab.all_done(), "netpipe did not complete");
-    lab::check_sanitizer(&lab, &mut eng, true);
+    run_to_completion(&mut lab, &mut eng);
     let App::NetPipe(np) = &lab.flows[0].app else {
         unreachable!()
     };

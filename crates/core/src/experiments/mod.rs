@@ -18,9 +18,9 @@ pub mod throughput;
 pub mod wan;
 
 use crate::config::HostConfig;
-use crate::lab::{App, Lab, LabEngine};
+use crate::lab::{self, App, Lab, LabEngine};
 use tengig_net::{Hop, Path};
-use tengig_sim::{Bandwidth, Engine, Nanos, SimRng};
+use tengig_sim::{Bandwidth, Nanos, SimRng};
 
 /// Crossover-cable one-way propagation (a few meters of fiber).
 pub const XOVER_PROP: Nanos = Nanos::from_nanos(50);
@@ -62,9 +62,7 @@ pub fn two_host_lab(
     let l_ab = lab.add_link(&path, rng.fork("ab"));
     let l_ba = lab.add_link(&path, rng.fork("ba"));
     lab.add_flow(a, b, vec![l_ab], vec![l_ba], app);
-    let mut eng = Engine::new();
-    eng.event_limit = 2_000_000_000;
-    crate::lab::install_default_sanitizer(&mut lab, &mut eng, seed);
+    let eng = lab::engine(&mut lab, seed);
     (lab, eng)
 }
 
@@ -74,8 +72,12 @@ pub fn two_host_lab(
 /// ledger demand zero in-flight bytes; any violation panics with the seed
 /// in the message (the sweep runner attaches the scenario index and label).
 pub fn run_to_completion(lab: &mut Lab, eng: &mut LabEngine) {
-    crate::lab::kick(lab, eng);
+    lab::kick(lab, eng);
     eng.run(lab);
-    debug_assert!(lab.all_done(), "a flow failed to complete");
-    crate::lab::check_sanitizer(lab, eng, true);
+    assert!(
+        lab.all_done(),
+        "a flow stalled: {} events executed without completing",
+        eng.executed()
+    );
+    lab::check_sanitizer(lab, eng, true);
 }

@@ -8,7 +8,7 @@ use crate::report::{Json, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
 use tengig_net::{Hop, Path};
 use tengig_nic::NicSpec;
-use tengig_sim::{rate_of, Bandwidth, Engine, Nanos, SimRng};
+use tengig_sim::{rate_of, Bandwidth, Nanos, SimRng};
 use tengig_tcp::Sysctls;
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
@@ -144,29 +144,11 @@ pub fn aggregate_seeded(
         }
     }
 
-    let mut eng = Engine::new();
-    eng.event_limit = 2_000_000_000;
-    lab::install_default_sanitizer(&mut lab, &mut eng, seed);
-    lab::kick(&mut lab, &mut eng);
-    // advance_to: the CPU-load and rate math below divide by the window, so
-    // the clock must sit exactly on its edges.
-    eng.advance_to(&mut lab, warmup);
-    let received = |lab: &Lab| -> u64 {
-        lab.flows
-            .iter()
-            .map(|f| match &f.app {
-                App::Nttcp { rx, .. } => rx.received,
-                _ => 0,
-            })
-            .sum()
-    };
-    let b0 = received(&lab);
-    let busy0 = lab.hosts[big].hottest_cpu_busy(warmup);
-    eng.advance_to(&mut lab, warmup + window);
-    // Windowed run: frames are still in flight, so no drain check.
-    lab::check_sanitizer(&lab, &mut eng, false);
-    let b1 = received(&lab);
-    let busy1 = lab.hosts[big].hottest_cpu_busy(warmup + window);
+    let mut eng = lab::engine(&mut lab, seed);
+    // The 10GbE host's CPU load is read over the same window as the rate.
+    let [(b0, busy0), (b1, busy1)] = lab::run_window(&mut lab, &mut eng, warmup, window, |l, t| {
+        (l.nttcp_received(), l.hosts[big].hottest_cpu_busy(t))
+    });
     MultiflowResult {
         peers,
         aggregate_gbps: rate_of(b1 - b0, window).gbps(),

@@ -26,19 +26,20 @@
 //! and the CI shard matrix enforce.
 //!
 //! The arrival schedule is drawn entirely at build time from a forked
-//! [`SimRng`] (the run itself replays `Ev::StartFlow` at the precomputed
-//! instants via [`crate::lab::kick_at`]), so the workload plane costs
+//! [`SimRng`] (each flow's [`crate::lab::FlowRt::start`] is its drawn
+//! arrival, and [`crate::lab::kick`] replays `Ev::StartFlow` there), so the
+//! workload plane costs
 //! zero RNG draws and zero event variants in every family that does not
 //! opt in — the existing goldens cannot drift by construction.
 
 use super::grid::{tengbe, workstation};
-use crate::lab::{self, App, DiskPipe, Ev, GridRt, GridShard, Lab};
+use crate::lab::{run_replicated, App, DiskPipe, Lab, Replicated};
 use crate::report::{Json, MetricsSidecar, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
 use tengig_hw::{DiskModel, DiskSpec};
 use tengig_net::{Hop, Path};
 use tengig_sim::{
-    build_schedule, rate_of, ArrivalProcess, Bandwidth, BoundedPareto, Engine, FctStats, FlowPlan,
+    build_schedule, rate_of, ArrivalProcess, Bandwidth, BoundedPareto, FctStats, FlowPlan,
     MetricKind, MetricSet, Nanos, ObsConfig, SimRng, SizeMix, Timelines, WorkloadSpec,
 };
 use tengig_tools::{NttcpReceiver, NttcpSender};
@@ -197,7 +198,7 @@ fn stripe_wan() -> Path {
 /// flight-recorder detail effectively off. Always on, so the
 /// CPU-saturation sidecar comes from the same run the golden gates (the
 /// sampling events themselves are netted out of the reported event
-/// counts — see [`run_serve`]).
+/// counts — see [`Replicated::events`]).
 fn serve_obs() -> ObsConfig {
     ObsConfig {
         sample_interval: Nanos::from_millis(2),
@@ -231,16 +232,11 @@ fn load_schedule(r: &LoadRung, seed: u64) -> (WorkloadSpec, Vec<FlowPlan>) {
     (spec, plans)
 }
 
-/// Build one shard's replica of a serve rung's world (identical
-/// construction on every shard, host-round-robin ownership — the same
-/// discipline as [`super::grid::build_replica`]).
-fn build_replica(
-    preset: &ServePreset,
-    plans: &[FlowPlan],
-    seed: u64,
-    shards: usize,
-    shard: usize,
-) -> GridShard {
+/// Build a serve rung's world — one shard's replica (identical
+/// construction on every call, the same discipline as the `grid`
+/// family's replicas). A load rung's flows start at their pre-drawn
+/// arrival instants.
+fn build_replica(preset: &ServePreset, plans: &[FlowPlan], seed: u64) -> Lab {
     let mut lab = Lab::new();
     let mut rng = SimRng::seeded(seed);
     match preset {
@@ -266,6 +262,8 @@ fn build_replica(
                         rx: NttcpReceiver::new(PAYLOAD * count),
                     },
                 );
+                // Open loop: the flow starts at its pre-drawn arrival.
+                lab.flows[f].start = plan.at;
             }
         }
         ServePreset::Stripe(r) => {
@@ -287,22 +285,7 @@ fn build_replica(
             }
         }
     }
-    let owner: Vec<usize> = (0..lab.hosts.len()).map(|h| h % shards).collect();
-    let flows = lab.flows.len();
-    lab.enable_grid(GridRt::new(shards, shard, owner, flows))
-        .expect("serve links have one transmitting host each, so every partition is safe");
-    lab.enable_obs(&serve_obs(), seed);
-    let mut eng = Engine::new();
-    eng.event_limit = 2_000_000_000;
-    lab::install_default_sanitizer(&mut lab, &mut eng, seed);
-    match preset {
-        ServePreset::Load(_) => {
-            let arrivals: Vec<Nanos> = plans.iter().map(|p| p.at).collect();
-            lab::kick_at(&mut lab, &mut eng, &arrivals);
-        }
-        ServePreset::Stripe(_) => lab::kick(&mut lab, &mut eng),
-    }
-    GridShard { lab, eng }
+    lab
 }
 
 /// Merged result of one load rung. Every field is shard-count-invariant.
@@ -368,7 +351,6 @@ pub enum ServeOutcome {
 /// timelines. Per-flow values are read from the shard that owns the host
 /// that produced them, exactly as in [`super::grid::run_grid`].
 pub fn run_serve(preset: &ServePreset, shards: usize, seed: u64) -> (ServeOutcome, Timelines) {
-    assert!(shards > 0, "a serve run needs at least one shard");
     let (spec, plans) = match preset {
         ServePreset::Load(r) => load_schedule(r, seed),
         ServePreset::Stripe(_) => (
@@ -382,62 +364,37 @@ pub fn run_serve(preset: &ServePreset, shards: usize, seed: u64) -> (ServeOutcom
             Vec::new(),
         ),
     };
-    let mut replicas: Vec<GridShard> = (0..shards)
-        .map(|s| build_replica(preset, &plans, seed, shards, s))
-        .collect();
-    tengig_sim::run_sharded(&mut replicas, preset.lookahead());
-    let mut tl = replicas[0]
-        .lab
-        .take_timelines()
-        .expect("obs is always enabled on serve replicas");
-    for shard in &mut replicas[1..] {
-        tl.merge(
-            &shard
-                .lab
-                .take_timelines()
-                .expect("obs is always enabled on serve replicas"),
-        );
-    }
-    for shard in replicas.iter_mut() {
-        lab::check_sanitizer(&shard.lab, &mut shard.eng, true);
-    }
-    // Workload events only: obs sampling chains run per shard (each
-    // re-arms while its own calendar holds events and revives on
-    // cross-shard traffic), so raw `executed()` sums are *not*
-    // shard-count-invariant once observability is on. Every non-sample
-    // event fires on exactly one shard, so netting out the per-kind
-    // `ObsSample` fired counter restores the invariant figure the golden
-    // gates on.
-    let events: u64 = replicas
-        .iter()
-        .map(|s| s.eng.executed() - s.lab.prof().fired[Ev::ObsSample.prof_idx()])
-        .sum();
+    let run = run_replicated(
+        || build_replica(preset, &plans, seed),
+        shards,
+        seed,
+        preset.lookahead(),
+        Some(&serve_obs()),
+        false,
+    );
     let outcome = match preset {
-        ServePreset::Load(_) => {
-            ServeOutcome::Load(merge_load(&replicas, shards, &spec, &plans, events))
-        }
-        ServePreset::Stripe(_) => ServeOutcome::Stripe(merge_stripe(&replicas, shards, events)),
+        ServePreset::Load(_) => ServeOutcome::Load(merge_load(&run, &spec, &plans)),
+        ServePreset::Stripe(_) => ServeOutcome::Stripe(merge_stripe(&run)),
     };
+    let tl = run
+        .timelines
+        .expect("obs is always enabled on serve replicas");
     (outcome, tl)
 }
 
 /// Fold the per-shard state of a finished load rung into [`LoadResult`].
-fn merge_load(
-    replicas: &[GridShard],
-    shards: usize,
-    spec: &WorkloadSpec,
-    plans: &[FlowPlan],
-    events: u64,
-) -> LoadResult {
+fn merge_load(run: &Replicated, spec: &WorkloadSpec, plans: &[FlowPlan]) -> LoadResult {
     let mut fct = FctStats::new();
     let mut payload_bytes = 0u64;
     let mut last_done = Nanos::ZERO;
-    let flows = replicas[0].lab.flows.len();
-    for (f, plan) in plans.iter().enumerate().take(flows) {
-        let rx_owner = replicas[0].lab.flows[f].host[1] % shards;
-        let t_done = replicas[rx_owner].lab.flows[f].meas.t_done;
-        let t_done = t_done.expect("load flow never finished on its owning shard");
-        let bytes = match &replicas[rx_owner].lab.flows[f].app {
+    let flows = &run.shards[0].lab.flows;
+    for (f, (flow, plan)) in flows.iter().zip(plans).enumerate() {
+        let rx = &run.lab_of(flow.host[1]).flows[f];
+        let t_done = rx
+            .meas
+            .t_done
+            .expect("load flow never finished on its owning shard");
+        let bytes = match &rx.app {
             App::Nttcp { rx, .. } => rx.received,
             _ => 0,
         };
@@ -446,59 +403,53 @@ fn merge_load(
         last_done = last_done.max(t_done);
     }
     let server = LOAD_CLIENTS;
-    let srv_owner = server % shards;
     LoadResult {
-        flows: flows as u64,
-        events,
+        flows: flows.len() as u64,
+        events: run.events,
         payload_bytes,
         offered_gbps: spec.offered_bps() / 1e9,
         achieved_gbps: fct.achieved_bps() / 1e9,
         fct_p50: Nanos::from_nanos(fct.fct_permille(500)),
         fct_p99: Nanos::from_nanos(fct.fct_permille(990)),
         fct_p999: Nanos::from_nanos(fct.fct_permille(999)),
-        srv_cpu_busy: replicas[srv_owner].lab.hosts[server].hottest_cpu_busy_total(),
+        srv_cpu_busy: run.lab_of(server).hosts[server].hottest_cpu_busy_total(),
         last_done,
     }
 }
 
 /// Fold the per-shard state of a finished striping rung into
 /// [`StripeResult`].
-fn merge_stripe(replicas: &[GridShard], shards: usize, events: u64) -> StripeResult {
-    let flows = replicas[0].lab.flows.len();
+fn merge_stripe(run: &Replicated) -> StripeResult {
+    let flows = &run.shards[0].lab.flows;
     let mut payload_bytes = 0u64;
     let mut first_start: Option<Nanos> = None;
     let mut last_drain = Nanos::ZERO;
-    for f in 0..flows {
-        let tx_owner = replicas[0].lab.flows[f].host[0] % shards;
-        let rx_owner = replicas[0].lab.flows[f].host[1] % shards;
-        let t_start = replicas[tx_owner].lab.flows[f].meas.t_start;
+    for (f, flow) in flows.iter().enumerate() {
+        let t_start = run.lab_of(flow.host[0]).flows[f].meas.t_start;
         let t_start = t_start.expect("stripe stream never started on its owning shard");
         first_start = Some(first_start.map_or(t_start, |t| t.min(t_start)));
-        if let App::DiskPipe(dp) = &replicas[rx_owner].lab.flows[f].app {
+        if let App::DiskPipe(dp) = &run.lab_of(flow.host[1]).flows[f].app {
             payload_bytes += dp.rx.received;
             last_drain = last_drain.max(dp.drain_done());
         }
     }
     let first_start = first_start.expect("stripe rungs always carry streams");
-    let src = replicas[0].lab.flows[0].host[0];
-    let dst = replicas[0].lab.flows[0].host[1];
-    let src_disk = replicas[src % shards].lab.hosts[src]
-        .disk
-        .as_ref()
-        .expect("stripe source host has a disk bank");
-    let dst_disk = replicas[dst % shards].lab.hosts[dst]
-        .disk
-        .as_ref()
-        .expect("stripe destination host has a disk bank");
+    let [src, dst] = flows[0].host;
+    let disk = |h: usize| {
+        run.lab_of(h).hosts[h]
+            .disk
+            .as_ref()
+            .expect("stripe hosts carry a disk bank")
+    };
     StripeResult {
-        streams: flows as u64,
-        events,
+        streams: flows.len() as u64,
+        events: run.events,
         payload_bytes,
         pipeline_gbps: rate_of(payload_bytes, last_drain.saturating_sub(first_start)).gbps(),
         first_start,
         last_drain,
-        disk_read_busy: src_disk.read_busy_total(),
-        disk_write_busy: dst_disk.write_busy_total(),
+        disk_read_busy: disk(src).read_busy_total(),
+        disk_write_busy: disk(dst).write_busy_total(),
     }
 }
 

@@ -8,7 +8,7 @@ use crate::report::{Json, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
 use tengig_ethernet::Mtu;
 use tengig_sim::stats::Series;
-use tengig_sim::{rate_of, Nanos};
+use tengig_sim::Nanos;
 use tengig_tools::{NttcpReceiver, NttcpResult, NttcpSender, Pktgen};
 
 /// Default packet count per sweep point. The paper uses 32,768; sweeps
@@ -225,12 +225,12 @@ pub fn ladder(mtu: Mtu, payloads: &[u64], count: u64) -> Vec<LadderResult> {
 pub fn iperf_point(cfg: HostConfig, payload: u64, start: Nanos, duration: Nanos, seed: u64) -> f64 {
     let app = App::Iperf(tengig_tools::Iperf::new(start, duration, payload));
     let (mut lab, mut eng) = b2b_lab(cfg, app, seed);
-    crate::lab::kick(&mut lab, &mut eng);
+    lab::kick(&mut lab, &mut eng);
     // Run past the deadline so in-flight data lands and is counted (the
     // tool itself clips to the window).
     eng.run_until(&mut lab, start + duration + Nanos::from_millis(20));
     // The deadline cuts the run short of a full drain; skip the drain check.
-    crate::lab::check_sanitizer(&lab, &mut eng, false);
+    lab::check_sanitizer(&lab, &mut eng, false);
     let App::Iperf(ip) = &lab.flows[0].app else {
         unreachable!()
     };
@@ -260,31 +260,6 @@ pub fn pktgen_run(cfg: HostConfig, payload: u64, count: u64) -> PktgenResult {
         pps: pg.packets_per_sec(),
         gbps: pg.throughput().gbps(),
     }
-}
-
-/// Steady-state throughput of a long NTTCP run measured over a window
-/// (used by WAN and anecdotal experiments where slow-start warmup must be
-/// excluded).
-pub fn windowed_throughput(
-    mut lab: crate::lab::Lab,
-    mut eng: crate::lab::LabEngine,
-    warmup: Nanos,
-    window: Nanos,
-) -> f64 {
-    crate::lab::kick(&mut lab, &mut eng);
-    // advance_to (not run_until) so the clock sits exactly on the window
-    // edges and `window` is exactly the virtual time measured over.
-    eng.advance_to(&mut lab, warmup);
-    let bytes_at = |lab: &crate::lab::Lab| match &lab.flows[0].app {
-        App::Nttcp { rx, .. } => rx.received,
-        _ => 0,
-    };
-    let b0 = bytes_at(&lab);
-    eng.advance_to(&mut lab, warmup + window);
-    // Windowed run: frames are still in flight, so no drain check.
-    crate::lab::check_sanitizer(&lab, &mut eng, false);
-    let b1 = bytes_at(&lab);
-    rate_of(b1 - b0, window).gbps()
 }
 
 #[cfg(test)]

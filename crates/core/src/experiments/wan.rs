@@ -11,7 +11,7 @@ use crate::report::{Json, SweepReport};
 use crate::sweep::{scenarios, SweepRunner};
 use tengig_net::WanSpec;
 use tengig_nic::NicSpec;
-use tengig_sim::{rate_of, Engine, Nanos, SimRng};
+use tengig_sim::{rate_of, Nanos, SimRng};
 use tengig_tcp::Sysctls;
 use tengig_tools::{NttcpReceiver, NttcpSender};
 
@@ -68,9 +68,7 @@ pub fn wan_lab_seeded(wan: &WanSpec, buffer: Option<u64>, seed: u64) -> (Lab, La
             rx: NttcpReceiver::new(payload * count),
         },
     );
-    let mut eng = Engine::new();
-    eng.event_limit = 2_000_000_000;
-    lab::install_default_sanitizer(&mut lab, &mut eng, seed);
+    let eng = lab::engine(&mut lab, seed);
     (lab, eng)
 }
 
@@ -88,7 +86,8 @@ pub fn record_run_seeded(
     window: Nanos,
     seed: u64,
 ) -> WanResult {
-    record_run_inner(wan, buffer, warmup, window, seed, None).0
+    let (mut lab, mut eng) = wan_lab_seeded(wan, buffer, seed);
+    measure_record(wan, &mut lab, &mut eng, warmup, window)
 }
 
 /// [`record_run_seeded`] with the observability layer enabled: returns the
@@ -102,46 +101,30 @@ pub fn record_timeline(
     seed: u64,
     obs: &tengig_sim::ObsConfig,
 ) -> (WanResult, tengig_sim::Timelines) {
-    let (result, tl) = record_run_inner(wan, buffer, warmup, window, seed, Some(obs));
-    (result, tl.expect("obs was enabled"))
+    let (mut lab, mut eng) = wan_lab_seeded(wan, buffer, seed);
+    lab.enable_obs(obs, seed);
+    let result = measure_record(wan, &mut lab, &mut eng, warmup, window);
+    (result, lab.take_timelines().expect("obs was enabled"))
 }
 
-fn record_run_inner(
+/// Measure the record scenario's steady state over one window.
+fn measure_record(
     wan: &WanSpec,
-    buffer: Option<u64>,
+    lab: &mut Lab,
+    eng: &mut LabEngine,
     warmup: Nanos,
     window: Nanos,
-    seed: u64,
-    obs: Option<&tengig_sim::ObsConfig>,
-) -> (WanResult, Option<tengig_sim::Timelines>) {
-    let (mut lab, mut eng) = wan_lab_seeded(wan, buffer, seed);
-    if let Some(cfg) = obs {
-        lab.enable_obs(cfg, seed);
-    }
-    lab::kick(&mut lab, &mut eng);
-    // advance_to: the rate below divides by the window, so the clock must
-    // sit exactly on its edges.
-    eng.advance_to(&mut lab, warmup);
-    let received = |lab: &Lab| match &lab.flows[0].app {
-        App::Nttcp { rx, .. } => rx.received,
-        _ => 0,
-    };
-    let b0 = received(&lab);
-    eng.advance_to(&mut lab, warmup + window);
-    // Windowed run: frames are still in flight, so no drain check.
-    lab::check_sanitizer(&lab, &mut eng, false);
-    let b1 = received(&lab);
+) -> WanResult {
+    let [b0, b1] = lab::run_window(lab, eng, warmup, window, |l, _| l.nttcp_received());
     let gbps = rate_of(b1 - b0, window).gbps();
     let bottleneck = wan.forward_path().bottleneck().gbps();
-    let drops = lab.links[0].total_drops();
-    let result = WanResult {
+    WanResult {
         gbps,
         retransmits: lab.flows[0].conns[0].stats.retransmits,
-        drops,
+        drops: lab.links[0].total_drops(),
         payload_efficiency: gbps / bottleneck,
         terabyte_time: Nanos::from_secs_f64(1e12 * 8.0 / (gbps * 1e9)),
-    };
-    (result, lab.take_timelines())
+    }
 }
 
 /// Sweep the record scenario over socket-buffer sizes (`None` = BDP-tuned)

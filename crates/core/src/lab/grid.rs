@@ -28,12 +28,20 @@
 //! [`Lab::enable_grid`] checks the rule while it builds the link→owner
 //! map (see [`GridRt::bind_links`]) and rejects a violating topology
 //! with a [`GridError`].
+//!
+//! Every grid family runs through one replicated runner,
+//! [`run_replicated`]: it owns the `h % shards` ownership policy, the
+//! enable-grid → enable-obs → engine → kick order of each replica, the
+//! synchronized run, the drained-sanitizer checks, the timeline merge and
+//! the shard-count-invariant workload event count. An experiment only
+//! builds the topology and merges per-flow values through
+//! [`Replicated::lab_of`].
 
-use super::{frame_arrival, Ev, FlowRt, Lab, LabEngine};
+use super::{check_sanitizer, engine, frame_arrival, kick, Ev, FlowRt, Lab, LabEngine};
 use std::collections::BTreeMap;
 use std::fmt;
 use tengig_net::Delivery;
-use tengig_sim::{Hist, Nanos, ShardWorld};
+use tengig_sim::{run_sharded_wall, Hist, Nanos, ObsConfig, ShardWorld, Timelines, WallStats};
 use tengig_tcp::Segment;
 
 /// One wire arrival traveling through the ingress channel.
@@ -347,5 +355,99 @@ impl ShardWorld for GridShard {
         // A message landing on a drained shard restarts its dormant
         // observability sampling chain (no-op when obs is off or armed).
         super::obs_revive(&mut self.lab, &mut self.eng, at);
+    }
+}
+
+/// A finished replicated run: every shard's replica plus the merges that
+/// are shard-count-invariant by construction.
+pub struct Replicated {
+    /// The replicas, indexed by shard id.
+    pub shards: Vec<GridShard>,
+    /// Workload events: executed events summed over shards, minus every
+    /// shard's [`Ev::ObsSample`] firings. Sampling chains run per shard
+    /// (each re-arms while its own calendar holds events and revives on
+    /// cross-shard traffic), so the raw sum grows with the shard count
+    /// once observability is on; every other event fires on exactly one
+    /// shard, so the netted sum is invariant.
+    pub events: u64,
+    /// The shards' observability timelines merged into one (`None` when
+    /// the run had no [`ObsConfig`]).
+    pub timelines: Option<Timelines>,
+    /// Per-shard wall-time accounting (empty unless requested).
+    pub wall: Vec<WallStats>,
+}
+
+impl Replicated {
+    /// The replica whose copy of host `h` is live: the one that owns it.
+    /// Every per-host or per-flow value merges from here — a flow's start
+    /// from its transmitting host's owner, its completion and delivered
+    /// bytes from its receiving host's owner.
+    pub fn lab_of(&self, h: usize) -> &Lab {
+        let grid = self.shards[0].lab.grid();
+        &self.shards[grid.expect("replicas run in grid mode").owner[h]].lab
+    }
+}
+
+/// Run the world `build` assembles as `shards` conservatively
+/// synchronized replicas with `lookahead` windows (see
+/// [`tengig_sim::run_sharded_wall`]), collecting per-shard wall time when
+/// `wall` is set.
+///
+/// `build` runs once per shard and must assemble the identical topology
+/// every time (same seeds, same fork labels, same index order). Hosts are
+/// owned round-robin, `h % shards`; each replica is then switched into
+/// grid mode, gets `obs` sampling if asked, its [`engine`], and its
+/// [`kick`]. After the run every shard's calendar has drained, so each
+/// byte ledger must sit at zero in-flight (cross-shard frames are handed
+/// off explicitly).
+pub fn run_replicated(
+    build: impl Fn() -> Lab,
+    shards: usize,
+    seed: u64,
+    lookahead: Nanos,
+    obs: Option<&ObsConfig>,
+    wall: bool,
+) -> Replicated {
+    assert!(shards > 0, "a replicated run needs at least one shard");
+    let mut replicas: Vec<GridShard> = (0..shards)
+        .map(|shard| {
+            let mut lab = build();
+            let owner = (0..lab.hosts.len()).map(|h| h % shards).collect();
+            let flows = lab.flows.len();
+            if let Err(e) = lab.enable_grid(GridRt::new(shards, shard, owner, flows)) {
+                panic!("replicated topology is not partition-safe: {e}");
+            }
+            if let Some(cfg) = obs {
+                lab.enable_obs(cfg, seed);
+            }
+            let mut eng = engine(&mut lab, seed);
+            kick(&mut lab, &mut eng);
+            GridShard { lab, eng }
+        })
+        .collect();
+    let mut stats = vec![WallStats::default(); if wall { shards } else { 0 }];
+    run_sharded_wall(&mut replicas, lookahead, wall.then_some(&mut stats[..]));
+    for s in &mut replicas {
+        check_sanitizer(&s.lab, &mut s.eng, true);
+    }
+    let timelines = obs.map(|_| {
+        let mut tls = replicas
+            .iter_mut()
+            .map(|s| s.lab.take_timelines().expect("obs is on in every replica"));
+        let mut merged = tls.next().expect("at least one shard");
+        for tl in tls {
+            merged.merge(&tl);
+        }
+        merged
+    });
+    let events = replicas
+        .iter()
+        .map(|s| s.eng.executed() - s.lab.prof.fired[Ev::ObsSample.prof_idx()])
+        .sum();
+    Replicated {
+        shards: replicas,
+        events,
+        timelines,
+        wall: stats,
     }
 }

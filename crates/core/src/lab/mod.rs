@@ -18,7 +18,7 @@ pub mod grid;
 pub mod host;
 
 use crate::config::HostConfig;
-pub use grid::{GridError, GridMsg, GridRt, GridShard};
+pub use grid::{run_replicated, GridError, GridMsg, GridRt, GridShard, Replicated};
 pub use host::{HostRt, RxFrame};
 use std::collections::VecDeque;
 use tengig_hw::DiskModel;
@@ -414,6 +414,11 @@ pub struct FlowRt {
     pub read_pending: [u64; 2],
     /// Whether a read event is already scheduled, per endpoint.
     pub read_scheduled: [bool; 2],
+    /// When [`kick`] starts the flow's workload. [`Lab::add_flow`] staggers
+    /// flows `1 µs + 137 ns·f` apart so multi-flow runs do not
+    /// phase-lock; an open-loop workload overwrites it with a pre-drawn
+    /// arrival instant (see [`tengig_sim::build_schedule`]).
+    pub start: Nanos,
     /// Pending connection-timer event per endpoint and [`TimerKind`]
     /// (indexed by [`timer_slot`]). When the connection re-arms a timer,
     /// the superseded event — a generation-guarded no-op — is cancelled
@@ -563,6 +568,7 @@ impl Lab {
         let s_b: Sysctls = self.hosts[b].cfg.sysctls;
         let conn_a = TcpConn::new(s_a, s_b.mss());
         let conn_b = TcpConn::new(s_b, s_a.mss());
+        let f = self.flows.len();
         self.flows.push(FlowRt {
             host: [a, b],
             route: [route_fwd, route_rev],
@@ -571,10 +577,11 @@ impl Lab {
             meas: FlowMeasure::default(),
             read_pending: [0, 0],
             read_scheduled: [false, false],
+            start: Nanos::from_micros(1) + Nanos::from_nanos(137 * f as u64),
             timer_ids: [[None; 2]; 2],
             started: false,
         });
-        self.flows.len() - 1
+        f
     }
 
     /// Attach a disk bank to a host — the storage endpoints of the
@@ -586,6 +593,18 @@ impl Lab {
     /// Whether every flow's workload has completed.
     pub fn all_done(&self) -> bool {
         self.flows.iter().all(|f| f.meas.t_done.is_some())
+    }
+
+    /// Payload bytes delivered to every NTTCP receiver so far — the
+    /// usual probe of a windowed measurement (see [`run_window`]).
+    pub fn nttcp_received(&self) -> u64 {
+        self.flows
+            .iter()
+            .map(|f| match &f.app {
+                App::Nttcp { rx, .. } => rx.received,
+                _ => 0,
+            })
+            .sum()
     }
 
     /// Enable the observability layer: arm every host's tracer in sampling
@@ -656,19 +675,25 @@ impl Default for Lab {
 /// the "last N trace events" a violation dump shows per host.
 pub const FLIGHT_RING: usize = 256;
 
-/// Install a runtime invariant [`Sanitizer`] on `eng` when the process-wide
-/// default asks for one (always in debug builds; opt-in via
-/// [`tengig_sim::sanitizer::set_default_enabled`] in release builds).
+/// The engine every lab runs on — the one engine set-up. Caps the run
+/// at two billion events and installs a runtime invariant [`Sanitizer`]
+/// when the process-wide default asks for one (always in debug builds;
+/// opt-in via [`tengig_sim::sanitizer::set_default_enabled`] in release
+/// builds).
 ///
 /// The recorded `seed` makes every violation a one-command repro, and the
 /// flight recorder armed with it makes the violation come with its story:
 /// [`check_sanitizer`] appends each host's last [`FLIGHT_RING`] trace
-/// events to the panic message.
-pub fn install_default_sanitizer(lab: &mut Lab, eng: &mut LabEngine, seed: u64) {
+/// events to the panic message. Call after the topology is assembled and
+/// [`Lab::enable_obs`] (hosts already tracing keep their tracer).
+pub fn engine(lab: &mut Lab, seed: u64) -> LabEngine {
+    let mut eng = Engine::new();
+    eng.event_limit = 2_000_000_000;
     if SimConfig::default().sanitize {
         eng.install_sanitizer(Sanitizer::new(seed));
         lab.arm_flight_recorder(FLIGHT_RING);
     }
+    eng
 }
 
 /// Collect the flight-recorder dump: every host's ring of recent trace
@@ -722,49 +747,44 @@ fn check_tcp_invariants(lab: &Lab, eng: &mut LabEngine, f: usize, ep: usize) {
 // engine wiring (free functions: events close over flow/endpoint indices)
 // ---------------------------------------------------------------------
 
-/// Start every flow's workload shortly after t=0 (staggered so multi-flow
-/// runs do not phase-lock). In grid mode only the flows whose transmitting
-/// host this shard owns are started — each flow's driver runs on exactly
-/// one shard; the stagger uses the global flow index either way, so start
-/// times are shard-count-invariant.
+/// Schedule every flow's workload at its [`FlowRt::start`] instant, and
+/// the first observability sample when [`Lab::enable_obs`] is active. In
+/// grid mode only the flows whose transmitting host this shard owns are
+/// started — each flow's driver runs on exactly one shard; start instants
+/// are per flow, so they are shard-count-invariant.
 pub fn kick(lab: &mut Lab, eng: &mut LabEngine) {
-    for f in 0..lab.flows.len() {
-        if let Some(g) = &lab.grid {
-            if !g.owns(lab.flows[f].host[0]) {
-                continue;
-            }
+    for (f, flow) in lab.flows.iter().enumerate() {
+        if lab.grid.as_ref().is_some_and(|g| !g.owns(flow.host[0])) {
+            continue;
         }
-        let at = Nanos::from_micros(1) + Nanos::from_nanos(137 * f as u64);
-        eng.schedule_event_at(at, Ev::StartFlow { f });
+        eng.schedule_event_at(flow.start, Ev::StartFlow { f });
     }
     if let Some(obs) = &lab.obs {
         eng.schedule_event_at(obs.interval, Ev::ObsSample);
     }
 }
 
-/// Start flows at explicit arrival instants — the open-loop workload
-/// plane. `arrivals[f]` is flow `f`'s absolute start time, typically a
-/// pre-built [`tengig_sim::build_schedule`] draw, so the generator costs
-/// zero RNG draws and zero events inside the run itself. Grid filtering
-/// and obs arming mirror [`kick`]; arrival instants come from outside, so
-/// a pre-built schedule is shard-count-invariant for free.
-pub fn kick_at(lab: &mut Lab, eng: &mut LabEngine, arrivals: &[Nanos]) {
-    assert_eq!(
-        arrivals.len(),
-        lab.flows.len(),
-        "one arrival instant per flow"
-    );
-    for (f, at) in arrivals.iter().enumerate() {
-        if let Some(g) = &lab.grid {
-            if !g.owns(lab.flows[f].host[0]) {
-                continue;
-            }
-        }
-        eng.schedule_event_at(*at, Ev::StartFlow { f });
-    }
-    if let Some(obs) = &lab.obs {
-        eng.schedule_event_at(obs.interval, Ev::ObsSample);
-    }
+/// The windowed measurement: kick, run to `warmup` (past slow start),
+/// `probe`, run to `warmup + window`, check the sanitizer, `probe` again.
+/// Returns the two probes, taken with the clock exactly on the window
+/// edges (`advance_to`, not `run_until`), so a rate over the probes
+/// divides by exactly `window`. The probe also gets the edge instant.
+///
+/// Frames are still in flight at the far edge, so the sanitizer check
+/// skips the drain ledger.
+pub fn run_window<T>(
+    lab: &mut Lab,
+    eng: &mut LabEngine,
+    warmup: Nanos,
+    window: Nanos,
+    probe: impl Fn(&Lab, Nanos) -> T,
+) -> [T; 2] {
+    kick(lab, eng);
+    eng.advance_to(lab, warmup);
+    let before = probe(lab, warmup);
+    eng.advance_to(lab, warmup + window);
+    check_sanitizer(lab, eng, false);
+    [before, probe(lab, warmup + window)]
 }
 
 /// One observability sample: read the selected metrics of every flow

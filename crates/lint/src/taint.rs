@@ -65,6 +65,12 @@ pub const HOT_PATH_ROOTS: &[&str] = &[
     // boundary)` read (`wall_now_ns`), so the root must still prove
     // clean — any other clock read inside the accounting is a failure.
     "run_sharded_wall",
+    // The one replicated runner every grid family's shard wiring goes
+    // through (ownership policy, per-replica set-up, merges), and the one
+    // kick every run's start schedule goes through: a stray clock or
+    // entropy read in either would move every flow of every family.
+    "run_replicated",
+    "kick",
     // Open-loop workload plane: the arrival-schedule builder consumes
     // the forked RNG stream flow by flow (a stray entropy or clock read
     // would shift every arrival after it), and FCT recording runs once

@@ -220,6 +220,32 @@ fn fixture_tree_trips_every_rule() {
         "the proof chain passes through the gap draw: {workload_taint:?}"
     );
 
+    // And for the replicated runner: a clock read in its per-shard
+    // set-up helper trips the direct rule, and the runner root is proven
+    // tainted through the helper — every grid family's replicas are
+    // built through it.
+    let runner = diags_for(d, "bad_runner.rs");
+    assert_eq!(runner.len(), 2, "{runner:?}");
+    assert!(
+        runner
+            .iter()
+            .any(|x| x.rule == "wall-clock" && x.line == 17),
+        "{runner:?}"
+    );
+    let runner_taint = runner
+        .iter()
+        .find(|x| x.rule == "taint")
+        .expect("replicated-runner root must be proven tainted");
+    assert_eq!(
+        runner_taint.line, 5,
+        "finding anchors at run_replicated's declaration"
+    );
+    assert_eq!(
+        runner_taint.chain,
+        vec!["run_replicated", "replica_seed", "Instant"],
+        "the proof chain passes through the set-up helper"
+    );
+
     // The tricky-but-clean file (tokens only in comments/strings/chars)
     // and the properly routed sweeps must not fire at all.
     assert!(diags_for(d, "clean_tricky.rs").is_empty(), "{d:?}");
