@@ -5,7 +5,7 @@
 # own selftests, then lints the live tree and byte-compares the JSON report
 # against goldens/lint_baseline.json) before check (dynamic: full
 # pinned-seed sweeps of every golden family). Within check, the
-# single-calendar families (obs, faults) run before the sharded ones
+# unsharded families (obs, faults, counts) run before the sharded ones
 # (grid, prof, serve), so a plain determinism break surfaces in the
 # cheaper gates first and a sharded-only failure points straight at the
 # shard or profiling layer. A static violation fails in seconds instead
@@ -13,7 +13,7 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test fmt clippy lint lint-selftest check bench bench-gate
+.PHONY: ci build test fmt clippy lint lint-selftest check bench
 
 ci: build test fmt clippy lint check
 
@@ -56,7 +56,9 @@ lint-selftest:
 #   grid    the sharded fabric sweep vs grid.jsonl;
 #   prof    the "sim" profiling sidecar vs prof_throughput.jsonl, and the
 #           profiled report vs grid.jsonl;
-#   serve   FCT/goodput report plus CPU-saturation sidecar vs serve.jsonl.
+#   serve   FCT/goodput report plus CPU-saturation sidecar vs serve.jsonl;
+#   counts  exact events and simulated bytes of one pinned run per
+#           experiment family vs counts.jsonl.
 # grid, prof and serve run at shards 1, 2 and 4 (the CI check matrix)
 # against the same goldens, which are shard-count-invariant by
 # construction. On mismatch each family
@@ -64,22 +66,16 @@ lint-selftest:
 # Regenerate a family's goldens deliberately with
 # `tengig-check FAMILY --write-golden`.
 check:
-	$(CARGO) run --release -q -p tengig-bench --bin tengig-check -- obs faults
+	$(CARGO) run --release -q -p tengig-bench --bin tengig-check -- obs faults counts
 	$(CARGO) run --release -q -p tengig-bench --bin tengig-check -- grid prof serve --shards 1
 	$(CARGO) run --release -q -p tengig-bench --bin tengig-check -- grid prof serve --shards 2
 	$(CARGO) run --release -q -p tengig-bench --bin tengig-check -- grid prof serve --shards 4
 
-# Refresh the wall-clock benchmark baseline: runs the fixed pinned-seed
-# workload per experiment family and rewrites BENCH_sim.json in place.
-# Commit the result to claim a performance win (or accept a justified
-# regression).
+# The repo's benchmark (BENCHMARK.json, perfbench/README.md): one run of
+# each workload, printing its end-to-end metrics and a JSON result line.
+# Writes no file besides build outputs.
 bench:
-	$(CARGO) run --release -p tengig-bench --bin tengig-bench -- --out BENCH_sim.json
-
-# Gate the current tree against the checked-in baseline: events/sec per
-# family must stay within ±15% of BENCH_sim.json (both directions), and
-# event/byte counts must match exactly. The fresh run is written next to
-# the baseline for inspection, never over it.
-bench-gate:
-	$(CARGO) run --release -p tengig-bench --bin tengig-bench -- \
-		--out target/BENCH_current.json --check BENCH_sim.json
+	for w in lan_bulk wan_record fabric_2shard serve_openloop; do \
+		$(CARGO) run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+			--workload $$w || exit 1; \
+	done

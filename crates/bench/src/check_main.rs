@@ -32,38 +32,48 @@
 //!   against `grid.jsonl` (profiling never perturbs a sweep byte).
 //! * `serve` — the open-loop load and disk-striping ladders (report plus
 //!   CPU-saturation sidecar), against `serve.jsonl`.
+//! * `counts` — the exact work (events executed, simulated bytes) of one
+//!   pinned run per experiment family, against `counts.jsonl`.
 //!
 //! `grid`, `prof` and `serve` run on the sharded engine and take
 //! `--shards N` (default 1); their goldens are shard-count-invariant, so
-//! every shard count compares against the same file. `obs` and `faults`
-//! have no shard axis and reject `--shards`. Exit status is 0 on pass, 1
+//! every shard count compares against the same file. `obs`, `faults`
+//! and `counts` have no shard axis and reject `--shards` (the two fabric
+//! rows of `counts` fix their own shard counts). Exit status is 0 on pass, 1
 //! on mismatch (divergent documents land in `target/<family>_current.jsonl`),
 //! 2 on operational error or bad usage.
 
 use std::path::Path;
 
 use tengig::experiments::faults::{
-    burst_sweep_report, chaos_campaign, chaos_run, chaos_spec, flap_recovery_sweep_report,
-    BURST_LENGTHS, FLAP_RTTS,
+    burst_sweep_report, chaos_campaign, chaos_run, chaos_spec, faults_lab,
+    flap_recovery_sweep_report, scaled_wan, BURST_LENGTHS, FLAP_RTTS,
 };
-use tengig::experiments::grid::{grid_prof_sweep, grid_sweep_report, standard_presets};
+use tengig::experiments::grid::{
+    grid_prof_sweep, grid_sweep_report, run_grid, standard_presets, GridPreset,
+};
+use tengig::experiments::multiflow::{aggregate_seeded, Direction};
 use tengig::experiments::serve::{serve_sweep_report, standard_rungs};
 use tengig::experiments::throughput::{throughput_sweep_report, throughput_sweep_with_metrics};
-use tengig::experiments::wan::record_timeline;
-use tengig::{LadderRung, SweepRunner};
+use tengig::experiments::wan::{record_timeline, wan_lab_seeded};
+use tengig::experiments::{b2b_lab, run_to_completion};
+use tengig::lab::{self, App};
+use tengig::{scenarios, Json, LadderRung, SweepReport, SweepRunner};
 use tengig_bench::golden::{self, Doc, Gate};
+use tengig_bench::prof_doc;
 use tengig_ethernet::Mtu;
-use tengig_net::WanSpec;
-use tengig_sim::{Hist, Nanos, ObsConfig, Timelines};
+use tengig_net::{GilbertElliott, Impairments, WanSpec};
+use tengig_sim::{Nanos, ObsConfig, Timelines};
+use tengig_tools::{NttcpReceiver, NttcpSender, Pktgen};
 
-const USAGE: &str = "usage: tengig-check [obs|faults|grid|prof|serve]... [--shards N] [--write-golden]
+const USAGE: &str = "usage: tengig-check [obs|faults|grid|prof|serve|counts]... [--shards N] [--write-golden]
        tengig-check obs summarize FILE | obs diff A B | obs run [--out PATH]
        tengig-check prof summarize FILE | prof diff A B
        tengig-check faults run [--scenarios N] [--seed S] [--threads T] [--out PATH] [--inject INDEX]
        tengig-check faults repro --seed SEED [--inject]";
 
 /// Master seed for every pinned sweep (the publication year, matching the
-/// paper sweeps and `tengig-bench`).
+/// paper sweeps and perfbench's reference seed).
 const SEED: u64 = 2003;
 
 /// Master seed and scenario count of the chaos campaign (default `faults
@@ -154,6 +164,15 @@ const FAMILIES: &[Family] = &[
         }],
         run: serve_docs,
     },
+    Family {
+        name: "counts",
+        sharded: false,
+        docs: &[Doc {
+            name: "work counts",
+            gate: Gate::Owned("counts.jsonl"),
+        }],
+        run: counts_docs,
+    },
 ];
 
 /// Obs cadence for the pinned workloads: a 100 µs sampling interval with
@@ -217,6 +236,156 @@ fn serve_docs(shards: usize, threads: usize) -> Vec<String> {
     let (_, report, sidecar) =
         serve_sweep_report(&standard_rungs(), shards, SEED, SweepRunner::new(threads));
     vec![format!("{}{}", report.to_jsonl(), sidecar.concatenated())]
+}
+
+/// Packet count per throughput-sweep point. Chosen so the whole workload
+/// runs in about a second while still executing millions of events.
+const SWEEP_COUNT: u64 = 200_000;
+
+/// pktgen packet count.
+const PKTGEN_COUNT: u64 = 5_000_000;
+
+/// One pinned run, returning its exact work as `(events executed,
+/// simulated bytes)`.
+type Workload = fn() -> (u64, u64);
+
+/// The `counts` workloads: one pinned run per experiment family. Every
+/// workload derives its seeds from [`SEED`] itself, so the counts do not
+/// depend on its position in the table.
+const COUNTS: &[(&str, Workload)] = &[
+    ("throughput_sweep", || throughput_sweep(None)),
+    ("throughput_sweep_obs", throughput_sweep_obs),
+    ("multiflow", multiflow),
+    ("wan_record", wan_record),
+    ("wan_burst_loss", wan_burst_loss),
+    ("pktgen", pktgen),
+    ("grid_fabric_1shard", || grid_fabric(1)),
+    ("grid_fabric_4shard", || grid_fabric(4)),
+];
+
+/// The work-count table, run through the sweep runner: one row per
+/// workload with its `events` and `sim_bytes`. Any change to what the
+/// simulator executes for these pinned runs moves a count exactly; the
+/// rows are a pure function of the code, never of the host.
+fn counts_docs(_shards: usize, threads: usize) -> Vec<String> {
+    let runs = scenarios(SEED, COUNTS, |(name, _)| name.to_string());
+    let counts = SweepRunner::new(threads)
+        .run(&runs, |sc| (sc.input.1)())
+        .unwrap_or_else(|e| panic!("counts: {e}"));
+    let mut report = SweepReport::new("counts", SEED);
+    for (sc, (events, sim_bytes)) in runs.iter().zip(counts) {
+        let values = vec![
+            ("events".to_string(), Json::U64(events)),
+            ("sim_bytes".to_string(), Json::U64(sim_bytes)),
+        ];
+        report.push_row(sc.index, sc.label.as_str(), SEED, values);
+    }
+    vec![report.to_jsonl()]
+}
+
+/// Fig. 3-5 shape: an NTTCP payload sweep, back-to-back, tuned windows,
+/// with the observability layer enabled when `obs` is given.
+fn throughput_sweep(obs: Option<&ObsConfig>) -> (u64, u64) {
+    let cfg = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
+    let mut events = 0;
+    let mut bytes = 0;
+    for (i, payload) in [512u64, 1448, 8948].into_iter().enumerate() {
+        let app = App::Nttcp {
+            tx: NttcpSender::new(payload, SWEEP_COUNT),
+            rx: NttcpReceiver::new(payload * SWEEP_COUNT),
+        };
+        let seed = SEED + i as u64;
+        let (mut lab, mut eng) = b2b_lab(cfg, app, seed);
+        if let Some(obs) = obs {
+            lab.enable_obs(obs, seed);
+        }
+        run_to_completion(&mut lab, &mut eng);
+        events += eng.executed();
+        bytes += payload * SWEEP_COUNT;
+    }
+    (events, bytes)
+}
+
+/// The payload sweep with per-flow metrics timelines sampled every 100 µs
+/// plus detail tracing 1-in-16. The workload bytes match the plain sweep
+/// exactly; the events exceed it by the `ObsSample` chain, which runs on
+/// the calendar.
+fn throughput_sweep_obs() -> (u64, u64) {
+    throughput_sweep(Some(&ObsConfig {
+        sample_every: 16,
+        ..obs_config()
+    }))
+}
+
+/// §3.5.2 aggregation: GbE senders into the 10GbE host, windowed.
+fn multiflow() -> (u64, u64) {
+    let tengbe = LadderRung::OversizedWindows.pe2650_config(Mtu::JUMBO_9000);
+    let w = Nanos::from_millis(800);
+    let mut events = 0;
+    let mut bytes = 0;
+    for peers in [1usize, 2, 4] {
+        let r = aggregate_seeded(
+            tengbe,
+            peers,
+            Direction::IntoTenGbe,
+            w,
+            w,
+            SEED + peers as u64,
+        );
+        events += r.events;
+        bytes += r.window_bytes;
+    }
+    (events, bytes)
+}
+
+/// §4 Internet2 Land Speed Record: a windowed single-stream WAN run.
+fn wan_record() -> (u64, u64) {
+    let (mut lab, mut eng) = wan_lab_seeded(&WanSpec::record_run(), None, SEED);
+    let window_bytes = windowed(&mut lab, &mut eng, Nanos::from_secs(3));
+    (eng.executed(), window_bytes)
+}
+
+/// NTTCP payload bytes delivered over a 5 s window after `warmup`.
+fn windowed(lab: &mut lab::Lab, eng: &mut lab::LabEngine, warmup: Nanos) -> u64 {
+    let window = Nanos::from_secs(5);
+    let [b0, b1] = lab::run_window(lab, eng, warmup, window, |l, _| l.nttcp_received());
+    b1 - b0
+}
+
+/// The windowed WAN run again, but with Gilbert–Elliott burst loss on
+/// the data path. Its control is `wan_record` itself:
+/// `Impairments::none()` short-circuits before any per-frame RNG draw, so
+/// that row's event count must not move when the impairment layer
+/// changes.
+fn wan_burst_loss() -> (u64, u64) {
+    let mut wan = scaled_wan(Nanos::from_millis(20), 64 << 20);
+    wan.impair = Impairments::none().with_burst(GilbertElliott::bursty(3e-3, 8.0));
+    let (mut lab, mut eng) = faults_lab(&wan, Some(256 << 10), SEED);
+    let window_bytes = windowed(&mut lab, &mut eng, Nanos::from_secs(2));
+    (eng.executed(), window_bytes)
+}
+
+/// §3.5.2 packet generator: single-copy TCP-bypass blast.
+fn pktgen() -> (u64, u64) {
+    let cfg = LadderRung::Mtu8160.pe2650_config(Mtu::TUNED_8160);
+    let payload = 8132u64;
+    let (mut lab, mut eng) = b2b_lab(cfg, App::Pktgen(Pktgen::new(payload, PKTGEN_COUNT)), SEED);
+    run_to_completion(&mut lab, &mut eng);
+    (eng.executed(), payload * PKTGEN_COUNT)
+}
+
+/// Sharded execution of a 64-workstation fat-tree (4 racks of GbE
+/// workstations feeding 2 10GbE spines) at a given shard count. Merged
+/// event counts are shard-count-invariant by contract, so the 1- and
+/// 4-shard rows must carry equal counts.
+fn grid_fabric(shards: usize) -> (u64, u64) {
+    let preset = GridPreset::FatTree {
+        spec: tengig_net::FatTreeSpec::gbe_into_tengbe(4, 16, 2),
+        payload: 8948,
+        count: 1500,
+    };
+    let r = run_grid(&preset, shards, SEED);
+    (r.events, r.payload_bytes)
 }
 
 /// A parsed gate invocation.
@@ -340,91 +509,18 @@ fn obs_run(out: &str) -> Result<bool, String> {
     Ok(true)
 }
 
-/// Extract an unsigned integer field from a single-line JSON object.
-fn field_u64(line: &str, name: &str) -> u64 {
-    let pat = format!("\"{name}\":");
-    let Some(at) = line.find(&pat) else { return 0 };
-    let digits: String = line[at + pat.len()..]
-        .chars()
-        .take_while(|c| c.is_ascii_digit())
-        .collect();
-    digits.parse().unwrap_or(0)
-}
-
-/// Parse an embedded histogram field out of a profile line.
-fn field_hist(line: &str, name: &str) -> Option<Hist> {
-    let pat = format!("\"{name}\":");
-    let at = line.find(&pat)?;
-    Hist::parse(&line[at + pat.len()..]).ok()
-}
-
-/// Pretty-print one profile document: per-preset sim sections with the
-/// p50/p90/p99/max histogram readout, then local and wall sections.
-fn prof_summarize(path: &str) -> Result<bool, String> {
-    for line in read(path)?.lines() {
-        if line.contains("\"prof\":\"sim\"") {
-            let preset = line
-                .split("\"preset\":\"")
-                .nth(1)
-                .and_then(|rest| rest.split('"').next())
-                .unwrap_or("?");
-            println!("{preset} executed={}", field_u64(line, "executed"));
-            for h in ["rx_batch", "drain_batch"] {
-                if let Some(hist) = field_hist(line, h) {
-                    println!("  {h}: {}", hist.summary());
-                }
-            }
-        } else if line.contains("\"prof\":\"local\"") {
-            println!(
-                "  shard {} windows={} msgs_sent={} pool={}h/{}m",
-                field_u64(line, "shard"),
-                field_u64(line, "windows"),
-                field_u64(line, "msgs_sent"),
-                field_u64(line, "pool_hits"),
-                field_u64(line, "pool_misses"),
-            );
-        } else if line.contains("\"wall\":\"shard\"") {
-            let ms = |name| field_u64(line, name) as f64 / 1e6;
-            println!(
-                "  wall shard {}: windows={} barrier_wait={:.3}ms execute={:.3}ms",
-                field_u64(line, "shard"),
-                field_u64(line, "windows"),
-                ms("barrier_wait_ns"),
-                ms("execute_ns"),
-            );
-        }
-    }
-    Ok(true)
-}
-
-/// Compare two profile documents; on the first divergence, show both
-/// lines and — when histograms are present — their percentile readouts,
-/// which usually localize a drift faster than raw bucket lists.
 fn prof_diff(a: &str, b: &str) -> Result<bool, String> {
-    let (left, right) = (read(a)?, read(b)?);
-    if left == right {
-        println!("profiles identical: {a} == {b}");
-        return Ok(true);
-    }
-    let (l, r): (Vec<&str>, Vec<&str>) = (left.lines().collect(), right.lines().collect());
-    println!("profiles differ ({a} vs {b}):");
-    if let Some(i) = (0..l.len().max(r.len())).find(|&i| l.get(i) != r.get(i)) {
-        let (le, rg) = (l.get(i).copied(), r.get(i).copied());
-        println!("  first divergence at line {}:", i + 1);
-        println!("    left:  {}", le.unwrap_or("<line missing>"));
-        println!("    right: {}", rg.unwrap_or("<line missing>"));
-        for name in ["rx_batch", "drain_batch"] {
-            let lh = le.and_then(|s| field_hist(s, name));
-            let rh = rg.and_then(|s| field_hist(s, name));
-            if let (Some(lh), Some(rh)) = (lh, rh) {
-                if lh != rh {
-                    println!("    {name} left:  {}", lh.summary());
-                    println!("    {name} right: {}", rh.summary());
-                }
-            }
+    match prof_doc::diff(&read(a)?, &read(b)?) {
+        None => {
+            println!("profiles identical: {a} == {b}");
+            Ok(true)
+        }
+        Some(divergence) => {
+            println!("profiles differ ({a} vs {b}):");
+            print!("{divergence}");
+            Ok(false)
         }
     }
-    Ok(false)
 }
 
 fn parse_num<T: std::str::FromStr>(value: Option<&&str>, flag: &str) -> Result<T, String> {
@@ -526,7 +622,13 @@ fn dispatch(args: &[&str]) -> Result<bool, String> {
         ["obs", "diff", a, b] => obs_diff(a, b),
         ["obs", "run"] => obs_run("wan_record.obs.jsonl"),
         ["obs", "run", "--out", path] => obs_run(path),
-        ["prof", "summarize", path] => prof_summarize(path),
+        ["prof", "summarize", path] => {
+            print!(
+                "{}",
+                prof_doc::summarize(&read(path)?).map_err(|e| format!("{path}: {e}"))?
+            );
+            Ok(true)
+        }
         ["prof", "diff", a, b] => prof_diff(a, b),
         ["faults", "run", rest @ ..] => faults_run(rest),
         ["faults", "repro", "--seed", seed, rest @ ..] => {
@@ -606,6 +708,7 @@ mod tests {
             &["grid", "--shards"],
             &["obs", "--shards", "4"],
             &["faults", "--shards", "4"],
+            &["counts", "--shards", "2"],
             &["--shards", "4"],
             &["faults", "repro", "--seed", "x"],
         ] {
