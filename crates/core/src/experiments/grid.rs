@@ -380,6 +380,12 @@ fn collect_profile(
             ("wheel_parked".to_string(), Json::U64(c.wheel_parked)),
             ("wheel_fallbacks".to_string(), Json::U64(c.wheel_fallbacks)),
             ("wheel_cascades".to_string(), Json::U64(c.wheel_cascades)),
+            ("sched_ordered".to_string(), Json::U64(c.sched_ordered)),
+            (
+                "ordered_fallbacks".to_string(),
+                Json::U64(c.ordered_fallbacks),
+            ),
+            ("heap_hiwater".to_string(), Json::U64(c.heap_hiwater)),
             ("cancels".to_string(), Json::U64(c.cancels)),
             ("cancel_hits".to_string(), Json::U64(c.cancel_hits)),
         ]);

@@ -55,6 +55,15 @@ pub struct HostRt {
     ///
     /// [`Lab::attach_disk`]: crate::lab::Lab::attach_disk
     pub disk: Option<DiskModel>,
+    /// First id of this host's block of ordered calendar streams
+    /// ([`tengig_sim::Calendar::schedule_ordered`]), assigned by
+    /// [`Lab::add_host`]. Each FIFO server whose completions stamp
+    /// pipeline event times gets one: a FIFO server never completes out
+    /// of order, so the calendar's heap holds one key per server instead
+    /// of one per frame in flight.
+    ///
+    /// [`Lab::add_host`]: crate::lab::Lab::add_host
+    pub(super) stream_base: u32,
 }
 
 impl HostRt {
@@ -71,7 +80,28 @@ impl HostRt {
             rx_crc_drops: 0,
             tracer: Tracer::disabled(),
             disk: None,
+            stream_base: 0,
         }
+    }
+
+    /// Number of calendar stream ids this host needs: one for its DMA
+    /// servers, one per CPU.
+    pub(super) fn stream_count(&self) -> u32 {
+        1 + u32::try_from(self.cpu.len()).expect("CPU count exceeds u32")
+    }
+
+    /// The calendar stream of the PCI-X segment and memory bus, engaged
+    /// together by every DMA: `TxWire` and `RxDmaDone` fire when both are
+    /// done. Each server's completions rise, so the later of the two does
+    /// too.
+    pub(super) fn dma_stream(&self) -> u32 {
+        self.stream_base
+    }
+
+    /// The calendar stream of CPU `cpu`: `TxDma`, `RxStack` and
+    /// `ReadDone` fire when its stack or copy work completes.
+    pub(super) fn cpu_stream(&self, cpu: usize) -> u32 {
+        self.stream_base + 1 + u32::try_from(cpu).expect("CPU index exceeds u32")
     }
 
     /// Typed probe point: record a pipeline-stage observation on this

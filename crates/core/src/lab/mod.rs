@@ -429,6 +429,10 @@ pub struct FlowRt {
     /// the one-time work (CPU baselines, connection-open stamps) is
     /// gated here.
     started: bool,
+    /// Ordered calendar stream of [`Ev::FrameArrival`] per receiving
+    /// endpoint: one direction's frames cross the same FIFO links, so
+    /// they arrive in time order unless an impairment reorders them.
+    arrival_stream: [u32; 2],
 }
 
 /// Live state of the observability layer while a lab run has metrics
@@ -476,7 +480,13 @@ pub struct Lab {
     /// Deterministic self-profiling counters (always on: pure integer
     /// increments on paths that already touch the counted state).
     prof: LabProf,
+    /// Next free ordered calendar stream id: [`Lab::add_host`] and
+    /// [`Lab::add_flow`] each take a block after [`START_STREAM`].
+    next_stream: u32,
 }
+
+/// The ordered calendar stream of the flow starts [`kick`] schedules.
+const START_STREAM: u32 = 0;
 
 impl Lab {
     /// An empty laboratory.
@@ -489,6 +499,7 @@ impl Lab {
             obs: None,
             grid: None,
             prof: LabProf::default(),
+            next_stream: START_STREAM + 1,
         }
     }
 
@@ -543,7 +554,10 @@ impl Lab {
 
     /// Add a host; returns its index.
     pub fn add_host(&mut self, cfg: HostConfig) -> usize {
-        self.hosts.push(HostRt::new(cfg));
+        let mut host = HostRt::new(cfg);
+        host.stream_base = self.next_stream;
+        self.next_stream += host.stream_count();
+        self.hosts.push(host);
         self.hosts.len() - 1
     }
 
@@ -569,6 +583,8 @@ impl Lab {
         let conn_a = TcpConn::new(s_a, s_b.mss());
         let conn_b = TcpConn::new(s_b, s_a.mss());
         let f = self.flows.len();
+        let arrival_stream = [self.next_stream, self.next_stream + 1];
+        self.next_stream += 2;
         self.flows.push(FlowRt {
             host: [a, b],
             route: [route_fwd, route_rev],
@@ -580,6 +596,7 @@ impl Lab {
             start: Nanos::from_micros(1) + Nanos::from_nanos(137 * f as u64),
             timer_ids: [[None; 2]; 2],
             started: false,
+            arrival_stream,
         });
         f
     }
@@ -751,13 +768,16 @@ fn check_tcp_invariants(lab: &Lab, eng: &mut LabEngine, f: usize, ep: usize) {
 /// the first observability sample when [`Lab::enable_obs`] is active. In
 /// grid mode only the flows whose transmitting host this shard owns are
 /// started — each flow's driver runs on exactly one shard; start instants
-/// are per flow, so they are shard-count-invariant.
+/// are per flow, so they are shard-count-invariant. Start instants rise
+/// with the flow index ([`Lab::add_flow`]'s stagger, or an open-loop
+/// arrival sequence), so they share one ordered calendar stream and an
+/// open-loop run's hundreds of pending starts hold one heap key.
 pub fn kick(lab: &mut Lab, eng: &mut LabEngine) {
     for (f, flow) in lab.flows.iter().enumerate() {
         if lab.grid.as_ref().is_some_and(|g| !g.owns(flow.host[0])) {
             continue;
         }
-        eng.schedule_event_at(flow.start, Ev::StartFlow { f });
+        eng.schedule_ordered_at(flow.start, START_STREAM, Ev::StartFlow { f });
     }
     if let Some(obs) = &lab.obs {
         eng.schedule_event_at(obs.interval, Ev::ObsSample);
@@ -1127,7 +1147,8 @@ fn send_segment(lab: &mut Lab, eng: &mut LabEngine, f: usize, src_ep: usize, seg
     if seg.retransmit {
         host.probe(now, Stage::Retransmit, seg.seq, seg.len, Nanos::ZERO);
     }
-    eng.schedule_event_at(cpu_adm.done, Ev::TxDma { f, ep: src_ep, seg });
+    let stream = host.cpu_stream(cpu_idx);
+    eng.schedule_ordered_at(cpu_adm.done, stream, Ev::TxDma { f, ep: src_ep, seg });
 }
 
 /// Stage 2 of transmit: the NIC DMA-reads the frame over PCI-X, its
@@ -1142,7 +1163,8 @@ fn tx_dma(lab: &mut Lab, eng: &mut LabEngine, f: usize, src_ep: usize, seg: Segm
     let bus_adm = host.membus.admit(now, host.tx_bus_time(&seg));
     let t3 = pci_adm.done.max(bus_adm.done);
     host.probe(now, Stage::TxDma, seg.seq, frame, pci);
-    eng.schedule_event_at(t3, Ev::TxWire { f, ep: src_ep, seg });
+    let stream = host.dma_stream();
+    eng.schedule_ordered_at(t3, stream, Ev::TxWire { f, ep: src_ep, seg });
 }
 
 /// The fate of one frame (and at most one impairment-minted duplicate)
@@ -1264,8 +1286,9 @@ fn tx_wire(lab: &mut Lab, eng: &mut LabEngine, f: usize, src_ep: usize, seg: Seg
             // FrameArrival, so application order is shard-count-invariant.
             grid::route_arrival(lab, eng, f, dst_ep, seg, d);
         } else {
-            eng.schedule_event_at(
+            eng.schedule_ordered_at(
                 d.at,
+                lab.flows[f].arrival_stream[dst_ep],
                 Ev::FrameArrival {
                     f,
                     ep: dst_ep,
@@ -1312,7 +1335,8 @@ fn frame_arrival(
     let bus_adm = host.membus.admit(now, host.rx_dma_bus_time(frame));
     let t_dma = pci_adm.done.max(bus_adm.done);
     host.probe(now, Stage::RxDma, seg.seq, frame, t_dma.saturating_sub(now));
-    eng.schedule_event_at(t_dma, Ev::RxDmaDone { f, ep: dst_ep, seg });
+    let stream = host.dma_stream();
+    eng.schedule_ordered_at(t_dma, stream, Ev::RxDmaDone { f, ep: dst_ep, seg });
 }
 
 /// Run the coalescer for a DMA-complete frame on host `h`.
@@ -1355,7 +1379,8 @@ fn process_rx_batch(lab: &mut Lab, eng: &mut LabEngine, h: usize, batch: u32) {
                     Stage::RxStack
                 };
                 lab.hosts[h].probe(now, stage, seg.seq, seg.len, cost);
-                eng.schedule_event_at(done, Ev::RxStack { f: flow, ep, seg });
+                let stream = lab.hosts[h].cpu_stream(irq_cpu);
+                eng.schedule_ordered_at(done, stream, Ev::RxStack { f: flow, ep, seg });
             }
             RxFrame::Udp { flow, bytes } => {
                 // pktgen sink: count only.
@@ -1409,8 +1434,8 @@ fn app_read(lab: &mut Lab, eng: &mut LabEngine, f: usize, ep: usize, fresh: bool
     let bus = lab.hosts[h].read_bus_time(bytes);
     lab.hosts[h].membus.admit(now, bus);
     lab.hosts[h].probe(now, Stage::RxCopy, f as u64, bytes, cost);
-    let t2 = cpu_adm.done;
-    eng.schedule_event_at(t2, Ev::ReadDone { f, ep, bytes });
+    let stream = lab.hosts[h].cpu_stream(cpu_idx);
+    eng.schedule_ordered_at(cpu_adm.done, stream, Ev::ReadDone { f, ep, bytes });
 }
 
 /// An application read chunk's CPU time completed: free the receive

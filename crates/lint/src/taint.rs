@@ -29,9 +29,11 @@ pub const HOT_PATH_ROOTS: &[&str] = &[
     "Engine::run_until",
     "Engine::advance_to",
     "Engine::step",
-    // Calendar queue, including the timing wheel behind it.
+    // Calendar queue, including the timing wheel and ordered streams
+    // behind it.
     "Calendar::schedule",
     "Calendar::schedule_timer",
+    "Calendar::schedule_ordered",
     "Calendar::cancel",
     "Calendar::peek_time",
     "Calendar::pop",

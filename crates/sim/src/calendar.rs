@@ -1,6 +1,6 @@
 //! The slab-backed event calendar underneath [`crate::Engine`].
 //!
-//! Three structural choices keep the hot path allocation- and
+//! Five structural choices keep the hot path allocation- and
 //! comparison-light, replacing the original `BinaryHeap<Box<event>>`:
 //!
 //! * **Slab storage.** Payloads live in a slab (`Vec` of slots) and are
@@ -28,6 +28,16 @@
 //!   clock approaches (see `surface`), so by the time an instant is
 //!   popped every timer key for it has been merged into the heap and the
 //!   observable order is unchanged.
+//! * **Ordered streams for pipeline stages.** A FIFO server stamps its
+//!   completions in nondecreasing time order, so the events it feeds
+//!   already arrive sorted. [`Calendar::schedule_ordered`] appends such an
+//!   event to a per-stream FIFO and only the stream's head key sits in the
+//!   heap; when the head pops, the stream's next key is pushed. The heap
+//!   then holds about one key per active stream instead of one per frame
+//!   in flight (thousands on a long fat WAN pipe), and each sift is a few
+//!   levels deep. The stream id lives in the slab slot, so `Key` stays 24
+//!   bytes; in exchange stream events return no handle and cannot be
+//!   cancelled.
 //!
 //! The observable order is **exactly** the strict `(time, seq)` order of
 //! the original queue. The lane is sound because a key only enters it
@@ -36,10 +46,18 @@
 //! draining heap keys at `now` before lane keys reproduces the global
 //! sequence order. The wheel is sound because a bucket is flushed into
 //! the heap no later than its span's start time, and the heap orders
-//! flushed keys by `(time, seq)` regardless of when they arrive. The
-//! equivalence (including cancellation and cascade boundaries) is pinned
-//! by property tests against a reference heap in
-//! `crates/sim/tests/calendar_equivalence.rs`.
+//! flushed keys by `(time, seq)` regardless of when they arrive. Streams
+//! are sound because a key joins a stream only when its `at` is at or
+//! after the stream's tail (otherwise it falls back to the plain heap),
+//! and every key keeps the `(at, seq)` it was given when scheduled: each
+//! stream is therefore sorted, its head is its minimum, and the heap top
+//! is the minimum over heap and streams alike — the same `(time, seq)`
+//! merge, whatever times the caller passes. A same-instant ordered event
+//! takes the lane like any other, so a stream key refilled into the heap
+//! at `now` was scheduled before the clock reached `now` and rightly pops
+//! ahead of the lane. The equivalence (including cancellation, cascade
+//! boundaries and stream fallbacks) is pinned by property tests against
+//! a reference heap in `crates/sim/tests/calendar_equivalence.rs`.
 
 use crate::prof::CalendarCounters;
 use crate::time::Nanos;
@@ -75,15 +93,29 @@ impl Key {
 }
 
 /// One slab slot: vacant slots chain through the freelist, occupied slots
-/// own the payload. Both carry the slot's current generation.
+/// own the payload and name the ordered stream their key belongs to
+/// ([`NIL`] for a key scheduled outside any stream). Both carry the
+/// slot's current generation.
 #[derive(Debug)]
 enum Slot<T> {
     Vacant { next_free: u32, gen: u32 },
-    Occupied { payload: T, gen: u32 },
+    Occupied { payload: T, gen: u32, stream: u32 },
 }
 
-/// Freelist terminator.
+/// Freelist terminator, and the stream tag of a key outside any stream.
 const NIL: u32 = u32::MAX;
+
+/// One ordered stream ([`Calendar::schedule_ordered`]): its head key sits
+/// in the heap, the keys behind it wait here in `(at, seq)` order.
+#[derive(Debug, Default)]
+struct Stream {
+    /// Keys behind the head, oldest first.
+    queued: VecDeque<Key>,
+    /// `at` of the last key appended: the append guard.
+    tail: Nanos,
+    /// Whether the stream's head key is in the heap.
+    active: bool,
+}
 
 /// Class bit composed into every key's sequence number. Normal events
 /// carry it set; front-class events ([`Calendar::schedule_front`]) carry
@@ -138,7 +170,8 @@ fn level_shift(level: usize) -> u32 {
 
 /// A deterministic event calendar: a slab of payloads indexed by a binary
 /// min-heap of `(time, seq)` keys, with a FIFO fast lane for events at the
-/// current instant and O(1) tombstone cancellation.
+/// current instant, a timing wheel for far timers, ordered streams for
+/// FIFO-server completions, and O(1) tombstone cancellation.
 #[derive(Debug)]
 pub struct Calendar<T> {
     heap: Vec<Key>,
@@ -165,6 +198,9 @@ pub struct Calendar<T> {
     /// Lower bound on the earliest parked key's timestamp (`u64::MAX`
     /// when the wheel is empty); lets `surface` bail in one compare.
     wheel_next_start: Nanos,
+    /// Ordered streams, indexed by the caller's stream id. Grown on
+    /// first use of an id.
+    streams: Vec<Stream>,
     /// Self-profiling routing counters (see [`CalendarCounters`]):
     /// deterministic, but calendar-private — the slab/lane/wheel split
     /// depends on this calendar's own horizon history.
@@ -193,6 +229,7 @@ impl<T> Calendar<T> {
             wheel_items: 0,
             wheel_horizon: 0,
             wheel_next_start: Nanos(u64::MAX),
+            streams: Vec::new(),
             prof: CalendarCounters::default(),
         }
     }
@@ -229,7 +266,7 @@ impl<T> Calendar<T> {
         let at = at.max(self.now);
         let seq = self.seq | SEQ_NORMAL;
         self.seq += 1;
-        let (slot, gen) = self.insert(payload);
+        let (slot, gen) = self.insert(payload, NIL);
         let key = Key { at, seq, slot, gen };
         if at == self.now {
             // Fast lane: every heap key at this timestamp predates (and
@@ -273,7 +310,7 @@ impl<T> Calendar<T> {
         }
         let seq = self.seq | SEQ_NORMAL;
         self.seq += 1;
-        let (slot, gen) = self.insert(payload);
+        let (slot, gen) = self.insert(payload, NIL);
         self.wheel_park(Key { at, seq, slot, gen });
         self.live += 1;
         self.prof.wheel_parked += 1;
@@ -295,10 +332,56 @@ impl<T> Calendar<T> {
         assert!(at > self.now, "front-class events must be strictly future");
         let seq = self.seq;
         self.seq += 1;
-        let (slot, gen) = self.insert(payload);
+        let (slot, gen) = self.insert(payload, NIL);
         self.heap_push(Key { at, seq, slot, gen });
         self.live += 1;
         EventId { slot, gen }
+    }
+
+    /// Schedule `payload` at absolute time `at` on ordered stream
+    /// `stream`: same `(time, seq)` pop order as [`Calendar::schedule`],
+    /// but when `at` is at or after the stream's last key the event joins
+    /// the stream's FIFO instead of the heap, and only the stream's head
+    /// key occupies a heap slot. Meant for the completions of one FIFO
+    /// server, whose times never decrease; an earlier time is still
+    /// exact, it just falls back to the heap (counted in
+    /// [`CalendarCounters::ordered_fallbacks`]). A same-instant event
+    /// takes the lane. Stream events return no handle: they cannot be
+    /// cancelled. Stream ids index a dense table, so keep them small.
+    pub fn schedule_ordered(&mut self, at: Nanos, stream: u32, payload: T) {
+        debug_assert!(at >= self.now, "calendar caller must clamp to now");
+        debug_assert!(stream != NIL, "stream id reserved for unstreamed keys");
+        let at = at.max(self.now);
+        if at == self.now {
+            // A stream key refilled at `now` pops ahead of the lane, so a
+            // same-instant event must take the lane itself.
+            self.schedule(at, payload);
+            return;
+        }
+        let s = widen(stream);
+        if s >= self.streams.len() {
+            self.streams.resize_with(s + 1, Stream::default);
+        }
+        let st = &self.streams[s];
+        if st.active && at < st.tail {
+            self.prof.ordered_fallbacks += 1;
+            self.schedule(at, payload);
+            return;
+        }
+        let seq = self.seq | SEQ_NORMAL;
+        self.seq += 1;
+        let (slot, gen) = self.insert(payload, stream);
+        let key = Key { at, seq, slot, gen };
+        let st = &mut self.streams[s];
+        st.tail = at;
+        if st.active {
+            st.queued.push_back(key);
+        } else {
+            st.active = true;
+            self.heap_push(key);
+        }
+        self.live += 1;
+        self.prof.sched_ordered += 1;
     }
 
     /// Cancel a scheduled event, returning its payload if the handle was
@@ -307,8 +390,9 @@ impl<T> Calendar<T> {
     pub fn cancel(&mut self, id: EventId) -> Option<T> {
         self.prof.cancels += 1;
         match self.slots.get(widen(id.slot)) {
-            Some(Slot::Occupied { gen, .. }) if *gen == id.gen => {
-                let payload = self.remove(id.slot);
+            Some(Slot::Occupied { gen, stream, .. }) if *gen == id.gen => {
+                debug_assert!(*stream == NIL, "a handle reached a stream key");
+                let (payload, _) = self.remove(id.slot);
                 self.live -= 1;
                 self.prof.cancel_hits += 1;
                 Some(payload)
@@ -549,19 +633,26 @@ impl<T> Calendar<T> {
         )
     }
 
-    /// Remove the payload behind `key` if the key is live (not a
-    /// tombstone), recycling the slot either way it was occupied.
+    /// Remove the payload behind a popped `key` if the key is live (not a
+    /// tombstone), recycling its slot. A stream head hands its heap slot
+    /// to the next key of its stream.
     fn take_live(&mut self, key: Key) -> Option<T> {
-        if self.is_live(key) {
-            let p = self.remove(key.slot);
-            self.live -= 1;
-            Some(p)
-        } else {
-            None
+        if !self.is_live(key) {
+            return None;
         }
+        let (p, stream) = self.remove(key.slot);
+        self.live -= 1;
+        if stream != NIL {
+            let st = &mut self.streams[widen(stream)];
+            match st.queued.pop_front() {
+                Some(next) => self.heap_push(next),
+                None => st.active = false,
+            }
+        }
+        Some(p)
     }
 
-    fn insert(&mut self, payload: T) -> (u32, u32) {
+    fn insert(&mut self, payload: T, stream: u32) -> (u32, u32) {
         if self.free_head != NIL {
             let slot = self.free_head;
             let s = &mut self.slots[widen(slot)];
@@ -569,7 +660,11 @@ impl<T> Calendar<T> {
                 unreachable!("freelist points at an occupied slot")
             };
             self.free_head = next_free;
-            *s = Slot::Occupied { payload, gen };
+            *s = Slot::Occupied {
+                payload,
+                gen,
+                stream,
+            };
             (slot, gen)
         } else {
             assert!(
@@ -577,14 +672,19 @@ impl<T> Calendar<T> {
                 "calendar slab exhausted u32 handles"
             );
             let slot = u32::try_from(self.slots.len()).expect("guarded: len < u32::MAX");
-            self.slots.push(Slot::Occupied { payload, gen: 0 });
+            self.slots.push(Slot::Occupied {
+                payload,
+                gen: 0,
+                stream,
+            });
             (slot, 0)
         }
     }
 
     /// Free an occupied slot, bumping its generation so stale keys and
-    /// handles go inert, and chain it onto the freelist.
-    fn remove(&mut self, slot: u32) -> T {
+    /// handles go inert, and chain it onto the freelist. Returns the
+    /// payload and the slot's stream tag.
+    fn remove(&mut self, slot: u32) -> (T, u32) {
         let s = &mut self.slots[widen(slot)];
         let next = Slot::Vacant {
             next_free: self.free_head,
@@ -593,17 +693,22 @@ impl<T> Calendar<T> {
                 Slot::Vacant { .. } => unreachable!("double free of a calendar slot"),
             },
         };
-        let Slot::Occupied { payload, .. } = std::mem::replace(s, next) else {
+        let Slot::Occupied {
+            payload, stream, ..
+        } = std::mem::replace(s, next)
+        else {
             unreachable!("checked occupied above")
         };
         self.free_head = slot;
-        payload
+        (payload, stream)
     }
 
     // ---- the key heap: a plain binary min-heap over `Key` ----
 
     fn heap_push(&mut self, key: Key) {
         self.heap.push(key);
+        let depth = u64::try_from(self.heap.len()).expect("heap depth exceeds u64");
+        self.prof.heap_hiwater = self.prof.heap_hiwater.max(depth);
         let mut i = self.heap.len() - 1;
         while i > 0 {
             let parent = (i - 1) / 2;
@@ -825,6 +930,59 @@ mod tests {
         c.schedule(Nanos(5), 1);
         c.pop();
         c.schedule_front(Nanos(5), 2);
+    }
+
+    #[test]
+    fn an_ordered_stream_keeps_one_heap_key() {
+        let mut c: Calendar<u64> = Calendar::new();
+        for i in 0..100u64 {
+            c.schedule_ordered(Nanos(10 + i / 3), 7, i);
+        }
+        assert_eq!(c.heap.len(), 1, "only the stream head sits in the heap");
+        assert_eq!(c.len(), 100);
+        let got: Vec<u64> = std::iter::from_fn(|| c.pop().map(|(_, p)| p)).collect();
+        assert_eq!(got, (0..100).collect::<Vec<_>>());
+        let p = c.prof_counters();
+        assert_eq!((p.sched_ordered, p.ordered_fallbacks), (100, 0));
+        assert_eq!(p.heap_hiwater, 1);
+    }
+
+    #[test]
+    fn an_out_of_order_append_falls_back_to_the_heap() {
+        let mut c: Calendar<u32> = Calendar::new();
+        c.schedule_ordered(Nanos(20), 0, 1);
+        c.schedule_ordered(Nanos(10), 0, 2); // before the tail: heap
+        c.schedule_ordered(Nanos(20), 0, 3); // at the tail: appended
+        c.schedule_ordered(Nanos(15), 1, 4); // another stream's head
+        assert_eq!(c.heap.len(), 3, "stream heads plus the fallback");
+        let p = c.prof_counters();
+        assert_eq!((p.sched_ordered, p.ordered_fallbacks), (3, 1));
+        let got: Vec<(Nanos, u32)> = std::iter::from_fn(|| c.pop()).collect();
+        assert_eq!(
+            got,
+            vec![
+                (Nanos(10), 2),
+                (Nanos(15), 4),
+                (Nanos(20), 1),
+                (Nanos(20), 3)
+            ]
+        );
+        assert!(c.is_empty());
+    }
+
+    #[test]
+    fn a_stream_head_refilled_at_now_pops_before_the_lane() {
+        let mut c: Calendar<u32> = Calendar::new();
+        c.schedule_ordered(Nanos(10), 3, 1);
+        c.schedule_ordered(Nanos(10), 3, 2);
+        assert_eq!(c.pop(), Some((Nanos(10), 1)));
+        // Key 2 was refilled into the heap at `now`; these two are
+        // scheduled later at the same instant, so they take the lane.
+        c.schedule(Nanos(10), 3);
+        c.schedule_ordered(Nanos(10), 3, 4);
+        assert_eq!(c.lane.len(), 2, "same-instant schedules take the lane");
+        let got: Vec<u32> = std::iter::from_fn(|| c.pop().map(|(_, p)| p)).collect();
+        assert_eq!(got, vec![2, 3, 4]);
     }
 
     #[test]

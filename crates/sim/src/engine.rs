@@ -118,29 +118,31 @@ impl<W, E: EventFire<W>> Engine<W, E> {
         self.calendar.len()
     }
 
-    /// Schedule `ev` to fire at absolute time `at`, returning a handle
-    /// that [`Engine::cancel`] accepts until the event fires.
-    ///
-    /// Scheduling in the past is a model bug and is rejected, never
-    /// silently reordered: with a [`Sanitizer`] installed the engine
-    /// records a causality violation (so tests can observe it); without
-    /// one it panics in debug builds. Either way the event is clamped to
-    /// `now` so release runs keep a monotonic clock.
-    pub fn schedule_event_at(&mut self, at: Nanos, ev: E) -> EventId {
+    /// Police a requested instant: scheduling in the past is a model bug
+    /// and is rejected, never silently reordered. With a [`Sanitizer`]
+    /// installed the engine records a causality violation (so tests can
+    /// observe it); without one it panics in debug builds. Either way the
+    /// instant is clamped to `now` so release runs keep a monotonic clock.
+    fn clamp_to_now(&mut self, at: Nanos, what: &str) -> Nanos {
         let now = self.calendar.now();
         if at < now {
             if let Some(s) = self.sanitizer.as_mut() {
-                let detail = format!(
-                    "handler scheduled an event at {} with the clock at {}",
-                    at, now
-                );
+                let detail = format!("handler scheduled {what} at {at} with the clock at {now}");
                 s.record(ViolationKind::Causality, now, detail);
             } else {
-                debug_assert!(at >= now, "event scheduled in the past: {} < {}", at, now);
+                debug_assert!(at >= now, "{what} scheduled in the past: {at} < {now}");
             }
         }
+        at.max(now)
+    }
+
+    /// Schedule `ev` to fire at absolute time `at`, returning a handle
+    /// that [`Engine::cancel`] accepts until the event fires. A time in
+    /// the past is policed and clamped to `now` (see the sanitizer).
+    pub fn schedule_event_at(&mut self, at: Nanos, ev: E) -> EventId {
+        let at = self.clamp_to_now(at, "an event");
         self.prof.sched_events += 1;
-        self.calendar.schedule(at.max(now), ev)
+        self.calendar.schedule(at, ev)
     }
 
     /// Schedule `ev` to fire `delay` after the current time.
@@ -155,23 +157,23 @@ impl<W, E: EventFire<W>> Engine<W, E> {
     /// handle, same past-scheduling policing — but O(1) arm/cancel for
     /// far-future, usually-cancelled protocol timers (RTO, delayed ACK).
     pub fn schedule_timer_at(&mut self, at: Nanos, ev: E) -> EventId {
-        let now = self.calendar.now();
-        if at < now {
-            if let Some(s) = self.sanitizer.as_mut() {
-                let detail = format!("handler armed a timer at {} with the clock at {}", at, now);
-                s.record(ViolationKind::Causality, now, detail);
-            } else {
-                debug_assert!(at >= now, "timer armed in the past: {} < {}", at, now);
-            }
-        }
+        let at = self.clamp_to_now(at, "a timer");
         self.prof.sched_timers += 1;
-        self.calendar.schedule_timer(at.max(now), ev)
+        self.calendar.schedule_timer(at, ev)
     }
 
-    /// Schedule `ev` on the timer lane `delay` after the current time.
-    pub fn schedule_timer_in(&mut self, delay: Nanos, ev: E) -> EventId {
-        let at = self.calendar.now().saturating_add(delay);
-        self.schedule_timer_at(at, ev)
+    /// Schedule `ev` at absolute time `at` on the calendar's ordered
+    /// stream `stream` ([`crate::Calendar::schedule_ordered`]): the same
+    /// pop order and past-scheduling policing as
+    /// [`Engine::schedule_event_at`], but an event whose time is at or
+    /// after the stream's last one waits in the stream's FIFO instead of
+    /// the heap. Give each FIFO server that stamps event times its own
+    /// stream. No handle: stream events cannot be cancelled. Counted as a
+    /// normal schedule in [`EngineCounters::sched_events`].
+    pub fn schedule_ordered_at(&mut self, at: Nanos, stream: u32, ev: E) {
+        let at = self.clamp_to_now(at, "an event");
+        self.prof.sched_events += 1;
+        self.calendar.schedule_ordered(at, stream, ev);
     }
 
     /// Schedule `ev` to fire "immediately" (at the current time, after all

@@ -261,8 +261,8 @@ impl Hist {
 }
 
 /// Calendar-internal routing counters: where schedules landed (binary
-/// heap slab, same-instant FIFO lane, timing wheel) and how the wheel
-/// behaved. **Deterministic but not shard-count-invariant** — the
+/// heap slab, same-instant FIFO lane, timing wheel, ordered streams) and
+/// how the wheel and the heap behaved. **Deterministic but not shard-count-invariant** — the
 /// slab/wheel split depends on each calendar's private horizon state, so
 /// these belong in the per-shard "local" profiling section, never in the
 /// merged golden-gated one.
@@ -280,6 +280,13 @@ pub struct CalendarCounters {
     pub wheel_fallbacks: u64,
     /// Expired wheel buckets cascaded back into the slab.
     pub wheel_cascades: u64,
+    /// Schedules appended to an ordered stream.
+    pub sched_ordered: u64,
+    /// Ordered schedules earlier than their stream's tail, routed to the
+    /// slab instead (also counted in `sched_slab`).
+    pub ordered_fallbacks: u64,
+    /// High-water mark of the binary heap's length, tombstones included.
+    pub heap_hiwater: u64,
     /// Cancel attempts.
     pub cancels: u64,
     /// Cancels that found a live event.
@@ -293,7 +300,8 @@ pub struct CalendarCounters {
 /// **are** shard-count-invariant and safe for the golden-gated section.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineCounters {
-    /// `schedule_event_*` calls (normal-class events).
+    /// `schedule_event_*` and `schedule_ordered_at` calls (normal-class
+    /// events).
     pub sched_events: u64,
     /// `schedule_timer_*` calls (wheel-eligible timers).
     pub sched_timers: u64,

@@ -134,9 +134,14 @@ impl Nanos {
     #[inline]
     pub fn scale(self, factor: f64) -> Nanos {
         debug_assert!(factor >= 0.0, "negative scale factor");
-        // Rounding back to integer nanoseconds is the point of `scale`:
-        // the product is non-negative (assert above) and callers apply it
-        // at config/link-model setup, not per event.
+        // Rounding back to integer nanoseconds is the point of `scale`,
+        // and the product is non-negative (assert above). This is not
+        // set-up-only code: the host cost model (`tx_cpu_cost` and
+        // `rx_cpu_cost` through `CpuSpec::stack_time`, the allocator
+        // cost) scales reference costs on every frame, as `bus_time` does
+        // a bandwidth through `Bandwidth::scale`. The float stays inside
+        // this one correctly rounded IEEE-754 product, so the `Nanos` it
+        // returns is the same on every platform.
         // lint:allow(lossy-cast)
         Nanos((self.0 as f64 * factor).round() as u64)
     }

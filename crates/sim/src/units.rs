@@ -76,20 +76,41 @@ impl Bandwidth {
     /// nanosecond (rounding up keeps a busy resource conservative: it can
     /// never transmit faster than its rated bandwidth).
     ///
-    /// A zero rate yields [`Nanos::MAX`].
+    /// A zero rate yields [`Nanos::MAX`]. Runs per frame (PCI-X, memory
+    /// bus, every link hop), so it divides in `u64` whenever `bytes × 8 ×
+    /// 10⁹` fits — anything under ≈2.3 GB — and widens only past that.
     #[inline]
     pub fn time_to_send(self, bytes: u64) -> Nanos {
         if self.bits_per_sec == 0 {
             return Nanos::MAX;
         }
+        match bytes.checked_mul(8_000_000_000) {
+            Some(bit_ns) => Nanos(bit_ns.div_ceil(self.bits_per_sec)),
+            None => self.time_to_send_wide(bytes),
+        }
+    }
+
+    /// [`Bandwidth::time_to_send`] in `u128` arithmetic, for byte counts
+    /// whose `bits × 10⁹` overflows `u64`. Nonzero rates only.
+    fn time_to_send_wide(self, bytes: u64) -> Nanos {
         let bits = bytes as u128 * 8;
         let ns = (bits * 1_000_000_000).div_ceil(self.bits_per_sec as u128);
         Nanos(ns.min(u64::MAX as u128) as u64)
     }
 
-    /// Bytes that can be moved in `dur` at this rate (rounded down).
+    /// Bytes that can be moved in `dur` at this rate (rounded down). Like
+    /// [`Bandwidth::time_to_send`], divides in `u64` unless `rate × dur`
+    /// overflows it.
     #[inline]
     pub fn bytes_in(self, dur: Nanos) -> u64 {
+        match self.bits_per_sec.checked_mul(dur.as_nanos()) {
+            Some(bit_ns) => bit_ns / 8_000_000_000,
+            None => self.bytes_in_wide(dur),
+        }
+    }
+
+    /// [`Bandwidth::bytes_in`] in `u128` arithmetic.
+    fn bytes_in_wide(self, dur: Nanos) -> u64 {
         let bits = self.bits_per_sec as u128 * dur.as_nanos() as u128 / 1_000_000_000;
         (bits / 8).min(u64::MAX as u128) as u64
     }
@@ -144,6 +165,7 @@ pub fn rate_of(bytes: u64, elapsed: Nanos) -> Bandwidth {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn constructors_agree() {
@@ -208,5 +230,51 @@ mod tests {
     fn scale_efficiency() {
         let raw = Bandwidth::from_gbps(10);
         assert_eq!(raw.scale(0.5).bps(), 5_000_000_000);
+    }
+
+    /// Largest byte count whose `bytes × 8 × 10⁹` fits `u64`.
+    const SEND_EDGE: u64 = u64::MAX / 8_000_000_000;
+
+    #[test]
+    fn wide_paths_take_over_past_the_u64_edge() {
+        let bw = Bandwidth::from_gbps(10);
+        assert!(SEND_EDGE.checked_mul(8_000_000_000).is_some());
+        assert_eq!((SEND_EDGE + 1).checked_mul(8_000_000_000), None);
+        for b in [SEND_EDGE, SEND_EDGE + 1, u64::MAX] {
+            assert_eq!(bw.time_to_send(b), bw.time_to_send_wide(b), "{b} B");
+        }
+        assert_eq!(Bandwidth::from_bps(1).time_to_send(u64::MAX), Nanos::MAX);
+        assert_eq!(bw.bytes_in(Nanos::MAX), bw.bytes_in_wide(Nanos::MAX));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The `u64` fast paths return exactly what the `u128` arithmetic
+        /// does: on random inputs, on frame-sized inputs at link-like
+        /// rates, and on both sides of each path's overflow edge.
+        #[test]
+        fn u64_fast_paths_match_the_wide_arithmetic(
+            bps in any::<u64>(),
+            link_bps in 1u64..(1u64 << 40),
+            bytes in any::<u64>(),
+            frame in 0u64..(1u64 << 20),
+            dur in any::<u64>(),
+            skew in 0u64..64,
+        ) {
+            for rate in [bps.max(1), link_bps] {
+                let bw = Bandwidth::from_bps(rate);
+                let edge_bytes = (SEND_EDGE + skew).saturating_sub(32);
+                for b in [bytes, frame, edge_bytes] {
+                    let (fast, wide) = (bw.time_to_send(b), bw.time_to_send_wide(b));
+                    prop_assert_eq!(fast, wide, "{} B at {} b/s", b, rate);
+                }
+                let edge_dur = (u64::MAX / rate).saturating_add(skew).saturating_sub(32);
+                for d in [dur, frame, edge_dur] {
+                    let (fast, wide) = (bw.bytes_in(Nanos(d)), bw.bytes_in_wide(Nanos(d)));
+                    prop_assert_eq!(fast, wide, "{} ns at {} b/s", d, rate);
+                }
+            }
+        }
     }
 }
